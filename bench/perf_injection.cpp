@@ -37,7 +37,6 @@
 #include "core/snapshot.hpp"
 #include "core/transport.hpp"
 #include "core/wire.hpp"
-#include "net/transport_tcp.hpp"
 #include "os/world.hpp"
 #include "vulndb/coverage.hpp"
 
@@ -318,13 +317,14 @@ enum class DataPlane { json, shm, tcp };
 /// leases, every lease report crossing the wire; the coordinator merges
 /// against the plan it already holds in memory (it planned it), so
 /// there is no merge-side plan re-parse. Three data planes:
-/// DataPlane::json is the pipe transport's payload — plan and lease
-/// reports as JSON strings. DataPlane::shm is the arena
+/// DataPlane::json is a codec simulation — plan and lease reports as
+/// JSON strings; no transport ships reports as JSON.
+/// DataPlane::shm is the arena
 /// (core/arena.hpp): the plan one binary frame workers decode from
 /// their own mapping of the arena file, every lease report a binary
 /// frame written into the lease's own segment and decoded from the
 /// coordinator's mapping — zero copies, no per-lease files.
-/// DataPlane::tcp is the socket plane's framing (net/transport_tcp.hpp)
+/// DataPlane::tcp is the worker-session framing (core/protocol.hpp)
 /// over a socketpair — the same syscalls and copies a loopback
 /// connection pays: the plan pushed to each worker as one
 /// length-prefixed binary frame, each lease answered by a DONE control
@@ -350,7 +350,7 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
   std::string plan_json;
   std::optional<core::ShmArena> coord, worker_side;
   int sp[2] = {-1, -1};  // [0] coordinator end, [1] worker end
-  net::FrameBuffer coord_fb, worker_fb;
+  core::FrameBuffer coord_fb, worker_fb;
   if (shm) {
     coord.emplace(core::ShmArena::create(
         arena_path, core::plan_to_binary(plan), lease_count,
@@ -373,9 +373,9 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
     } else if (tcp) {
       // The per-worker plan push: one frame down the socket, reassembled
       // and decoded on the worker end.
-      net::send_frame(sp[0], plan_wire);
+      core::send_frame(sp[0], plan_wire);
       std::string payload;
-      net::recv_frame(sp[1], &worker_fb, &payload, 5000);
+      core::recv_frame(sp[1], &worker_fb, &payload, 5000);
       worker_plans.push_back(core::plan_from_binary(payload));
     } else {
       worker_plans.push_back(core::plan_from_json(plan_json));
@@ -402,14 +402,14 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
       // Worker end: DONE control frame, then the binary report frame —
       // the tcp plane's per-lease handoff, end to end.
       std::string frame = core::shard_report_to_binary(report);
-      net::send_frame(
+      core::send_frame(
           sp[1], core::format_done(begin, std::min(begin + lease_items, n)));
-      net::send_frame(sp[1], frame);
+      core::send_frame(sp[1], frame);
       std::string line, body;
-      net::recv_frame(sp[0], &coord_fb, &line, 5000);
+      core::recv_frame(sp[0], &coord_fb, &line, 5000);
       core::ProtocolMsg msg;
       if (!core::parse_protocol_line(line, &msg)) std::abort();
-      net::recv_frame(sp[0], &coord_fb, &body, 5000);
+      core::recv_frame(sp[0], &coord_fb, &body, 5000);
       acc->wire_bytes += line.size() + body.size();
       leases.push_back(core::shard_report_from_binary(body));
     } else {
@@ -579,8 +579,8 @@ void write_sweep_json(const char* path) {
   // The orchestrated dimension: same process count as the sharded
   // number, but persistent workers amortize the plan parse + re-freeze
   // across ~4 leases each, and the coordinator never re-parses the plan.
-  // Measured over both data planes, interleaved: JSON strings (the pipe
-  // transport's payload) and the zero-copy shm arena — binary frames in
+  // Measured over the data planes, interleaved: JSON strings (a codec
+  // simulation) and the zero-copy shm arena — binary frames in
   // a mmap'd file instead of JSON report files. binary_wire_bytes /
   // orchestrated_wire_bytes is the codec's size win; the overhead delta
   // is the whole data plane's win.

@@ -43,16 +43,16 @@
 //
 // `epa_cli worker` is the orchestrator's worker half: it parses the plan
 // and re-freezes the COW prototype once, then serves LEASE commands over
-// its control channel (stdin/stdout lines; tcp frames with --connect)
+// its framed session (stdin/stdout; the socket with --connect)
 // until EXIT/EOF — the per-process costs are paid per worker, not per
 // work slice. Every data plane speaks worker protocol v3
 // (core/protocol.hpp): HELLO handshake, PING heartbeats at checkpoints,
 // STEAL/YIELD work stealing, FEEDBACK item appends for search.
 // Orchestrated output is bit-identical to `run`.
-#include <poll.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -140,7 +140,7 @@ int usage() {
       "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
       "                [--preempt-after N] [--scenario-file FILE]\n"
       "                [--checkpoint K] [--drain-delay-ms MS]\n"
-      "                (worker protocol v3 on stdin/stdout, or framed\n"
+      "                (worker protocol v3, framed on stdin/stdout or\n"
       "                over tcp with --connect; spawned by orchestrate)\n"
       "  epa_cli compare <before-scenario> <after-scenario>\n"
       "  epa_cli db [indirect|direct|other|excluded]\n");
@@ -798,119 +798,36 @@ int cmd_merge(const std::string& plan_path,
 
 // --- orchestrated execution (core/orchestrator.hpp) -------------------------
 
-/// One control channel to the coordinator: protocol lines out, commands
-/// in. The pipe flavor speaks newline-delimited lines on fds 0/1; the
-/// tcp flavor carries the same line bytes as length-prefixed frames.
-/// Raw fds rather than stdio — the STEAL poll between checkpoint chunks
-/// needs a non-blocking read that does not fight a buffered FILE*.
-class WorkerChannel {
+/// The worker's end of its framed session with the coordinator
+/// (core/protocol.hpp framing): stdin/stdout for a forked worker, the
+/// socket twice for a dialed-in one. Raw fds rather than stdio — the
+/// STEAL poll between checkpoint chunks needs a non-blocking read that
+/// does not fight a buffered FILE*.
+class FrameChannel {
  public:
-  virtual ~WorkerChannel() = default;
-  /// Send one protocol line (no trailing newline). False on a dead peer;
-  /// the read side tells the death story.
-  virtual bool send_line(const std::string& line) = 0;
-  /// Block for the next command. False on EOF (coordinator gone).
-  virtual bool recv_line(std::string* line) = 0;
-  /// Pull one already-arrived command without blocking — how a draining
-  /// worker notices STEAL between chunks.
-  virtual bool poll_line(std::string* line) = 0;
-  /// Ship a completed lease report. The tcp flavor sends it as the
-  /// binary frame right after DONE; the pipe/shm planes already landed
-  /// the report via the lease target, so the base is a no-op.
-  virtual bool send_report(const std::string& wire) {
-    (void)wire;
-    return true;
+  FrameChannel(int in_fd, int out_fd) : in_fd_(in_fd), out_fd_(out_fd) {}
+  /// False on a dead peer; the read side tells the death story.
+  bool send(const std::string& payload) {
+    return core::send_frame(out_fd_, payload);
   }
-};
-
-/// stdin/stdout, one protocol line per '\n' — what orchestrate's
-/// fork/exec transports (pipe and shm data planes) speak.
-class PipeChannel : public WorkerChannel {
- public:
-  bool send_line(const std::string& line) override {
-    std::string out = line;
-    out.push_back('\n');
-    std::size_t off = 0;
-    while (off < out.size()) {
-      ssize_t n = ::write(1, out.data() + off, out.size() - off);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-  bool recv_line(std::string* line) override {
-    while (!take(line)) {
-      if (eof_) return false;
-      fill(-1);
-    }
-    return true;
-  }
-  bool poll_line(std::string* line) override {
-    if (take(line)) return true;
-    if (!eof_) fill(0);
-    return take(line);
-  }
-
- private:
-  /// Read whatever poll() reports ready within timeout_ms (-1 blocks).
-  void fill(int timeout_ms) {
-    pollfd p{0, POLLIN, 0};
-    if (::poll(&p, 1, timeout_ms) <= 0) return;  // timeout/EINTR: no data
-    char buf[4096];
-    ssize_t n = ::read(0, buf, sizeof buf);
-    if (n > 0)
-      buf_.append(buf, static_cast<std::size_t>(n));
-    else if (n == 0)
-      eof_ = true;
-  }
-  bool take(std::string* line) {
-    auto nl = buf_.find('\n');
-    if (nl == std::string::npos) {
-      // A command this long is a broken coordinator, not a command.
-      if (buf_.size() > 65536)
-        throw std::runtime_error("worker: command line exceeds 65536 bytes");
-      return false;
-    }
-    line->assign(buf_, 0, nl);
-    while (!line->empty() && line->back() == '\r') line->pop_back();
-    buf_.erase(0, nl + 1);
-    return true;
-  }
-  std::string buf_;
-  bool eof_ = false;
-};
-
-/// A dialed-in tcp worker: the identical protocol lines, framed
-/// (net/transport_tcp.hpp), plus the report frame after each DONE.
-class TcpChannel : public WorkerChannel {
- public:
-  explicit TcpChannel(int fd) : fd_(fd) {}
-  ~TcpChannel() override {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool send_line(const std::string& line) override {
-    return net::send_frame(fd_, line);
-  }
-  bool recv_line(std::string* line) override {
+  /// Block for the next frame. False on EOF (coordinator gone).
+  bool recv(std::string* payload) {
     if (eof_) return false;
-    if (!net::recv_frame(fd_, &frames_, line, -1)) eof_ = true;
+    if (!core::recv_frame(in_fd_, &frames_, payload)) eof_ = true;
     return !eof_;
   }
-  bool poll_line(std::string* line) override {
-    if (frames_.pop(line)) return true;
-    if (!eof_) eof_ = !net::pump_nonblocking(fd_, &frames_);
-    return frames_.pop(line);
-  }
-  bool send_report(const std::string& wire) override {
-    return net::send_frame(fd_, wire);
+  /// Pull one already-arrived frame without blocking — how a draining
+  /// worker notices STEAL between chunks.
+  bool poll(std::string* payload) {
+    if (frames_.pop(payload)) return true;
+    if (!eof_) eof_ = !core::pump_nonblocking(in_fd_, &frames_);
+    return frames_.pop(payload);
   }
 
  private:
-  int fd_;
-  net::FrameBuffer frames_;
+  int in_fd_;
+  int out_fd_;
+  core::FrameBuffer frames_;
   bool eof_ = false;
 };
 
@@ -945,50 +862,18 @@ long long worker_protocol_version() {
   return v;
 }
 
-/// The persistent worker half of the orchestrator: parse the plan and
-/// re-freeze the COW prototype exactly once, then serve LEASE commands
-/// until EXIT/EOF. The first line out is always `HELLO <version>` — a
-/// coordinator speaking a different protocol rejects the worker before
-/// any lease is granted. Protocol lines only on the control channel;
-/// everything human-facing goes to stderr. SIGTERM is graceful
-/// preemption: with --checkpoint the in-flight lease stops at the next
-/// chunk boundary (partial flushed, no DONE, exit 4); without it the
-/// in-flight lease finishes and the *next* one is refused with exit 4.
-/// Either way the orchestrator re-leases the unfinished range.
-///
-/// With --checkpoint the worker also sends a PING heartbeat after every
-/// chunk (feeding the coordinator's deadman) and polls for STEAL between
-/// chunks: a stolen lease is answered with `YIELD <mid> <end>` — the
-/// worker keeps the drained prefix [begin, mid) and the coordinator
-/// re-leases the tail to an idle worker.
-///
-/// With --arena the data plane is the mmap'd arena (core/arena.hpp): the
-/// plan comes out of the arena's binary plan region, a lease's target is
-/// the token `@<seq>` naming its arena segment, reports are encoded with
-/// shard_report_to_binary straight into that segment, and DONE carries
-/// the (offset, length) handoff instead of a file path.
-///
-/// With --connect the whole exchange rides one tcp socket: HELLO up,
-/// the binary plan down as the first frame, then the same protocol
-/// lines framed, with each DONE followed by the lease's binary report
-/// frame. The worker announces its exit with `BYE <status>` so the
-/// coordinator can tell a clean exit from a lost host.
-int cmd_worker(const WorkerArgs& a) {
-  const bool use_arena = !a.arena_path.empty();
+/// Everything a worker does after HELLO: load the plan, freeze the
+/// prototype, serve leases. Returns the exit status; `*done` counts the
+/// leases served.
+int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
   const bool use_tcp = !a.connect_host.empty();
   std::optional<core::ShmArena> arena;
   core::InjectionPlan plan;
-  std::unique_ptr<WorkerChannel> chan;
   std::string plan_src;
   if (use_tcp) {
-    chan = std::make_unique<TcpChannel>(
-        net::tcp_connect(a.connect_host, a.connect_port));
-    // HELLO before anything else — the coordinator checks the version
-    // before it ships the plan.
-    chan->send_line(core::format_hello(worker_protocol_version()));
     plan_src = a.connect_host + ":" + std::to_string(a.connect_port);
     std::string frame;
-    if (!chan->recv_line(&frame))
+    if (!chan.recv(&frame))
       throw std::runtime_error(
           plan_src + ": coordinator closed the connection before sending "
                      "a plan (handshake rejected?)");
@@ -997,9 +882,7 @@ int cmd_worker(const WorkerArgs& a) {
     } catch (const core::WireError& e) {
       throw std::runtime_error(plan_src + ": " + e.what());
     }
-  } else if (use_arena) {
-    chan = std::make_unique<PipeChannel>();
-    chan->send_line(core::format_hello(worker_protocol_version()));
+  } else if (!a.arena_path.empty()) {
     arena.emplace(core::ShmArena::open(a.arena_path));
     try {
       plan = core::plan_from_binary(arena->plan_data(), arena->plan_size());
@@ -1008,8 +891,6 @@ int cmd_worker(const WorkerArgs& a) {
     }
     plan_src = a.arena_path;
   } else {
-    chan = std::make_unique<PipeChannel>();
-    chan->send_line(core::format_hello(worker_protocol_version()));
     plan = load_plan(a.plan_path);
     plan_src = a.plan_path;
   }
@@ -1028,208 +909,298 @@ int cmd_worker(const WorkerArgs& a) {
                plan_src.c_str(), plan.items.size(),
                plan.snapshot ? "frozen" : "uncached");
 
-  long long done = 0;
   long long flushes = 0;  // cumulative across leases, like `done`
-  auto serve = [&]() -> int {
-    std::string cmd;
-    while (chan->recv_line(&cmd)) {
-      core::ProtocolMsg msg;
-      if (!core::parse_protocol_line(cmd, &msg)) {
-        std::fprintf(stderr, "epa: worker: malformed command '%s'\n",
-                     cmd.c_str());
-        return 1;
-      }
-      if (msg.type == core::ProtocolMsg::Type::exit_cmd) break;
-      if (msg.type == core::ProtocolMsg::Type::steal) continue;  // the
-      // benign race: the lease it wanted stolen finished before the
-      // STEAL arrived; there is nothing left to yield.
-      if (msg.type == core::ProtocolMsg::Type::feedback) {
-        // The search plane's item append (protocol v3): the coordinator
-        // generated items past the range this worker's plan copy carries.
-        // The append must be gap-free — begin names exactly the current
-        // item count, or a lost FEEDBACK would silently shift every later
-        // id — and the spec's length must match the announced range.
-        if (msg.begin != plan.items.size()) {
-          std::fprintf(stderr,
-                       "epa: worker: FEEDBACK begins at %zu but the plan "
-                       "holds %zu items (lost feedback?)\n",
-                       msg.begin, plan.items.size());
-          return 1;
-        }
-        std::vector<core::WorkItem> appended;
-        try {
-          appended =
-              core::parse_feedback_spec(msg.target, plan.points.size());
-        } catch (const core::WireError& e) {
-          std::fprintf(stderr, "epa: worker: %s\n", e.what());
-          return 1;
-        }
-        if (msg.end != msg.begin + appended.size()) {
-          std::fprintf(stderr,
-                       "epa: worker: FEEDBACK range [%zu, %zu) but the "
-                       "spec carries %zu item(s)\n",
-                       msg.begin, msg.end, appended.size());
-          return 1;
-        }
-        for (auto& item : appended) plan.items.push_back(std::move(item));
-        // A search plan can start empty (every item arrives as
-        // feedback); the prototype freeze was a no-op then, so pay it on
-        // the first append instead.
-        if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
-        continue;
-      }
-      if (msg.type != core::ProtocolMsg::Type::lease) {
-        std::fprintf(stderr, "epa: worker: unexpected command '%s'\n",
-                     cmd.c_str());
-        return 1;
-      }
-      std::size_t begin = msg.begin, end = msg.end;
-      std::string target = msg.target;
-      std::size_t seq = 0;
-      if (use_arena) {
-        errno = 0;
-        char* tok_end = nullptr;
-        unsigned long long v =
-            !target.empty() && target[0] == '@'
-                ? std::strtoull(target.c_str() + 1, &tok_end, 10)
-                : 0;
-        if (target.empty() || target[0] != '@' || errno == ERANGE ||
-            tok_end == target.c_str() + 1 || *tok_end != '\0') {
-          std::fprintf(stderr,
-                       "epa: worker: arena lease target must be @<seq>, "
-                       "got '%s'\n",
-                       target.c_str());
-          return 1;
-        }
-        seq = static_cast<std::size_t>(v);
-      }
-      if (g_preempted) {
-        std::fprintf(stderr,
-                     "epa: worker preempted; lease [%zu, %zu) not drained\n",
-                     begin, end);
-        return 4;  // the orchestrator re-leases [begin, end)
-      }
-
-      // Where (partial and final) reports land for this lease. The tcp
-      // plane ships the report as a frame after DONE instead, so its
-      // flush is a no-op. The arena flush bounds-checks before touching
-      // the segment: a report that outgrows its segment is a clean
-      // worker failure, never a neighboring lease's bytes overwritten.
-      std::size_t flushed_bytes = 0;
-      auto flush = [&](const core::ShardReport& r) {
-        if (use_tcp) return;
-        if (!use_arena) {
-          write_file_atomic(target, r.to_json());
-          return;
-        }
-        std::string bin = core::shard_report_to_binary(r);
-        if (bin.size() > arena->segment_bytes())
-          throw std::runtime_error(
-              "worker: lease " + std::to_string(seq) + " report (" +
-              std::to_string(bin.size()) +
-              " bytes) exceeds the arena segment capacity (" +
-              std::to_string(arena->segment_bytes()) + " bytes)");
-        std::memcpy(arena->segment(seq), bin.data(), bin.size());
-        flushed_bytes = bin.size();
-      };
-
-      bool steal_requested = false;
-      std::size_t chunks = 0;
-      core::ShardDrainHooks hooks;
-      if (a.checkpoint > 0) {
-        hooks.checkpoint_every = a.checkpoint;
-        hooks.interrupted = [&] {
-          // The straggler hook: slow every chunk down so CI can force a
-          // lease split deterministically.
-          if (a.drain_delay_ms > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(a.drain_delay_ms));
-          if (g_preempted) return true;
-          std::string in;
-          while (chan->poll_line(&in)) {
-            core::ProtocolMsg m;
-            if (core::parse_protocol_line(in, &m) &&
-                m.type == core::ProtocolMsg::Type::steal)
-              steal_requested = true;
-          }
-          // Honor a STEAL only once a chunk has landed — the yielded
-          // split point must sit strictly inside the lease.
-          return steal_requested && chunks > 0;
-        };
-        hooks.on_checkpoint = [&](const core::ShardReport& r) {
-          ++chunks;
-          flush(r);
-          // Heartbeat at every checkpoint: the coordinator's deadman
-          // only trusts a worker it has heard from recently.
-          chan->send_line(core::format_ping());
-          // CI determinism hook (--checkpoint mode): preempt mid-lease
-          // at the Nth flush, counted across the worker's whole lifetime
-          // so replacements make progress before being preempted too.
-          if (a.preempt_after > 0 && ++flushes >= a.preempt_after)
-            (void)std::raise(SIGTERM);
-        };
-      }
-      core::ShardReport report =
-          core::run_lease(executor, plan, begin, end, opts, hooks);
-      if (!report.complete && g_preempted) {
-        // Preempted mid-lease: flush the partial (for post-mortems; the
-        // orchestrator re-drains the whole range) and exit *without*
-        // DONE — a DONE line must always name a complete report.
-        flush(report);
-        std::fprintf(stderr,
-                     "epa: worker preempted mid-lease; partial for "
-                     "[%zu, %zu) flushed, range will be re-leased\n",
-                     begin, end);
-        return 4;
-      }
-      if (!report.complete) {
-        // Stopped for a STEAL: keep the drained prefix [begin, mid) and
-        // surrender [mid, end). Shrinking assigned_ids to exactly the
-        // drained ids makes the prefix a *complete* report for the kept
-        // half — the DONE below names the shrunk lease.
-        std::size_t mid = begin + report.item_ids.size();
-        report.assigned_ids = report.item_ids;
-        report.complete = true;
-        chan->send_line(core::format_yield(mid, end));
-        std::fprintf(stderr,
-                     "epa worker: yielded [%zu, %zu) of lease [%zu, %zu)\n",
-                     mid, end, begin, end);
-        end = mid;
-      }
-      // Flush *before* DONE: a DONE line always names a readable,
-      // complete report, even if this worker dies right after.
-      flush(report);
-      if (use_arena)
-        chan->send_line(core::format_done(begin, end,
-                                          arena->segment_offset(seq),
-                                          flushed_bytes));
-      else
-        chan->send_line(core::format_done(begin, end));
-      if (use_tcp) chan->send_report(core::shard_report_to_binary(report));
-      ++done;
-      // CI determinism hook (lease mode): deliver the preemption signal
-      // to ourselves after N served leases, through the real handler.
-      if (a.checkpoint == 0 && a.preempt_after > 0 && done >= a.preempt_after)
-        (void)std::raise(SIGTERM);
+  std::string cmd;
+  while (chan.recv(&cmd)) {
+    core::ProtocolMsg msg;
+    if (!core::parse_protocol_line(cmd, &msg)) {
+      std::fprintf(stderr, "epa: worker: malformed command '%s'\n",
+                   cmd.c_str());
+      return 1;
     }
-    return 0;
-  };
+    if (msg.type == core::ProtocolMsg::Type::exit_cmd) break;
+    if (msg.type == core::ProtocolMsg::Type::steal) continue;  // the
+    // benign race: the lease it wanted stolen finished before the
+    // STEAL arrived; there is nothing left to yield.
+    if (msg.type == core::ProtocolMsg::Type::feedback) {
+      // The search plane's item append (protocol v3): the coordinator
+      // generated items past the range this worker's plan copy carries.
+      // The append must be gap-free — begin names exactly the current
+      // item count, or a lost FEEDBACK would silently shift every later
+      // id — and the spec's length must match the announced range.
+      if (msg.begin != plan.items.size()) {
+        std::fprintf(stderr,
+                     "epa: worker: FEEDBACK begins at %zu but the plan "
+                     "holds %zu items (lost feedback?)\n",
+                     msg.begin, plan.items.size());
+        return 1;
+      }
+      std::vector<core::WorkItem> appended;
+      try {
+        appended =
+            core::parse_feedback_spec(msg.target, plan.points.size());
+      } catch (const core::WireError& e) {
+        std::fprintf(stderr, "epa: worker: %s\n", e.what());
+        return 1;
+      }
+      if (msg.end != msg.begin + appended.size()) {
+        std::fprintf(stderr,
+                     "epa: worker: FEEDBACK range [%zu, %zu) but the "
+                     "spec carries %zu item(s)\n",
+                     msg.begin, msg.end, appended.size());
+        return 1;
+      }
+      for (auto& item : appended) plan.items.push_back(std::move(item));
+      // A search plan can start empty (every item arrives as
+      // feedback); the prototype freeze was a no-op then, so pay it on
+      // the first append instead.
+      if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
+      continue;
+    }
+    if (msg.type != core::ProtocolMsg::Type::lease) {
+      std::fprintf(stderr, "epa: worker: unexpected command '%s'\n",
+                   cmd.c_str());
+      return 1;
+    }
+    std::size_t begin = msg.begin, end = msg.end;
+    // The report target: `-` (the report follows DONE as a frame) or,
+    // on the shm plane, `@<seq>` (the lease's arena segment).
+    const std::string& target = msg.target;
+    std::size_t seq = 0;
+    bool target_ok = !arena && target == "-";
+    if (arena && target.size() > 1 && target[0] == '@' &&
+        std::isdigit(static_cast<unsigned char>(target[1]))) {
+      errno = 0;
+      char* tok_end = nullptr;
+      seq = std::strtoull(target.c_str() + 1, &tok_end, 10);
+      target_ok = errno != ERANGE && *tok_end == '\0';
+    }
+    if (!target_ok) {
+      std::fprintf(stderr,
+                   "epa: worker: lease target must be %s, got '%s'\n",
+                   arena ? "@<seq> (an arena segment)"
+                         : "'-' (the report returns as a frame)",
+                   target.c_str());
+      return 1;
+    }
+    if (g_preempted) {
+      std::fprintf(stderr,
+                   "epa: worker preempted; lease [%zu, %zu) not drained\n",
+                   begin, end);
+      return 4;  // the orchestrator re-leases [begin, end)
+    }
 
+    // The shm plane lands partial and final reports in the lease's
+    // segment, bounds-checked first: a report that outgrows its
+    // segment is a clean worker failure, never a neighboring lease's
+    // bytes overwritten. The other planes send the finished report as
+    // the frame after DONE.
+    std::size_t flushed_bytes = 0;
+    auto flush = [&](const core::ShardReport& r) {
+      if (!arena) return;
+      std::string bin = core::shard_report_to_binary(r);
+      if (bin.size() > arena->segment_bytes())
+        throw std::runtime_error(
+            "worker: lease " + std::to_string(seq) + " report (" +
+            std::to_string(bin.size()) +
+            " bytes) exceeds the arena segment capacity (" +
+            std::to_string(arena->segment_bytes()) + " bytes)");
+      std::memcpy(arena->segment(seq), bin.data(), bin.size());
+      flushed_bytes = bin.size();
+    };
+
+    bool steal_requested = false;
+    std::size_t chunks = 0;
+    core::ShardDrainHooks hooks;
+    if (a.checkpoint > 0) {
+      hooks.checkpoint_every = a.checkpoint;
+      hooks.interrupted = [&] {
+        // The straggler hook: slow every chunk down so CI can force a
+        // lease split deterministically.
+        if (a.drain_delay_ms > 0)
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(a.drain_delay_ms));
+        if (g_preempted) return true;
+        std::string in;
+        while (chan.poll(&in)) {
+          core::ProtocolMsg m;
+          if (core::parse_protocol_line(in, &m) &&
+              m.type == core::ProtocolMsg::Type::steal)
+            steal_requested = true;
+        }
+        // Honor a STEAL only once a chunk has landed — the yielded
+        // split point must sit strictly inside the lease.
+        return steal_requested && chunks > 0;
+      };
+      hooks.on_checkpoint = [&](const core::ShardReport& r) {
+        ++chunks;
+        flush(r);
+        // Heartbeat at every checkpoint: the coordinator's deadman
+        // only trusts a worker it has heard from recently.
+        chan.send(core::format_ping());
+        // CI determinism hook (--checkpoint mode): preempt mid-lease
+        // at the Nth flush, counted across the worker's whole lifetime
+        // so replacements make progress before being preempted too.
+        if (a.preempt_after > 0 && ++flushes >= a.preempt_after)
+          (void)std::raise(SIGTERM);
+      };
+    }
+    core::ShardReport report =
+        core::run_lease(executor, plan, begin, end, opts, hooks);
+    if (!report.complete && g_preempted) {
+      // Preempted mid-lease: flush the partial (shm, for post-mortems;
+      // the orchestrator re-drains the whole range) and exit *without*
+      // DONE — a DONE always names a complete report.
+      flush(report);
+      std::fprintf(stderr,
+                   "epa: worker preempted mid-lease; [%zu, %zu) will be "
+                   "re-leased\n",
+                   begin, end);
+      return 4;
+    }
+    if (!report.complete) {
+      // Stopped for a STEAL: keep the drained prefix [begin, mid) and
+      // surrender [mid, end). Shrinking assigned_ids to exactly the
+      // drained ids makes the prefix a *complete* report for the kept
+      // half — the DONE below names the shrunk lease.
+      std::size_t mid = begin + report.item_ids.size();
+      report.assigned_ids = report.item_ids;
+      report.complete = true;
+      chan.send(core::format_yield(mid, end));
+      std::fprintf(stderr,
+                   "epa worker: yielded [%zu, %zu) of lease [%zu, %zu)\n",
+                   mid, end, begin, end);
+      end = mid;
+    }
+    if (arena) {
+      // Flush *before* DONE: a DONE always names a readable, complete
+      // report, even if this worker dies right after.
+      flush(report);
+      chan.send(core::format_done(begin, end, arena->segment_offset(seq),
+                                  flushed_bytes));
+    } else {
+      chan.send(core::format_done(begin, end));
+      chan.send(core::shard_report_to_binary(report));
+    }
+    ++*done;
+    // CI determinism hook (lease mode): deliver the preemption signal
+    // to ourselves after N served leases, through the real handler.
+    if (a.checkpoint == 0 && a.preempt_after > 0 && *done >= a.preempt_after)
+      (void)std::raise(SIGTERM);
+  }
+  return 0;
+}
+
+/// The persistent worker half of the orchestrator: parse the plan and
+/// re-freeze the COW prototype exactly once, then serve LEASE commands
+/// until EXIT/EOF. Every data plane is one framed session
+/// (core/protocol.hpp) — stdin/stdout for a plan file or --arena, the
+/// socket for --connect. The first frame out is always `HELLO <version>`
+/// (a coordinator speaking a different protocol rejects the worker
+/// before any lease is granted) and the last is `BYE <status>`.
+/// Everything human-facing goes to stderr. SIGTERM is graceful
+/// preemption: with --checkpoint the in-flight lease stops at the next
+/// chunk boundary (no DONE, exit 4); without it the in-flight lease
+/// finishes and the *next* one is refused with exit 4. Either way the
+/// orchestrator re-leases the unfinished range.
+///
+/// With --checkpoint the worker also sends a PING heartbeat after every
+/// chunk (feeding the coordinator's deadman) and polls for STEAL between
+/// chunks: a stolen lease is answered with `YIELD <mid> <end>` — the
+/// worker keeps the drained prefix [begin, mid) and the coordinator
+/// re-leases the tail to an idle worker.
+///
+/// Where the plan comes from and where lease reports go:
+///   plan file  LEASE target `-`: each DONE is followed by the lease's
+///              binary report frame.
+///   --arena    the arena's binary plan region (core/arena.hpp); LEASE
+///              target `@<seq>` names the lease's segment, reports (and
+///              checkpoint partials) are encoded straight into it, and
+///              DONE carries the (offset, length) handoff.
+///   --connect  HELLO up, the binary plan down as the first frame, then
+///              the plan-file exchange over the socket.
+int cmd_worker(const WorkerArgs& a) {
+  const bool use_tcp = !a.connect_host.empty();
+  const int sock =
+      use_tcp ? net::tcp_connect(a.connect_host, a.connect_port) : -1;
+  FrameChannel chan(use_tcp ? sock : STDIN_FILENO,
+                    use_tcp ? sock : STDOUT_FILENO);
+  // HELLO before anything else — a tcp coordinator checks the version
+  // before it ships the plan.
+  chan.send(core::format_hello(worker_protocol_version()));
+  long long done = 0;
   int rc = 0;
   try {
-    rc = serve();
+    rc = serve_leases(a, chan, &done);
   } catch (...) {
     // A tcp coordinator cannot see an exit status — announce the death
     // so it is classified `died`, not a lost host to re-lease around.
-    if (use_tcp) chan->send_line(core::format_bye(1));
+    chan.send(core::format_bye(1));
     throw;
   }
-  if (use_tcp) chan->send_line(core::format_bye(rc));
+  chan.send(core::format_bye(rc));
   std::fprintf(stderr, "epa worker: served %lld lease(s), exiting\n", done);
   return rc;
 }
 
 enum class DataPlane { pipe, shm, tcp };
+
+DataPlane data_plane_flag(const std::string& flag, int argc, char** argv,
+                          int* i) {
+  std::string v = flag_value(flag, argc, argv, i);
+  if (v == "pipe") return DataPlane::pipe;
+  if (v == "shm") return DataPlane::shm;
+  if (v == "tcp") return DataPlane::tcp;
+  flag_fail(flag, "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+}
+
+/// Where a local fleet's plan and arena files go: `dir` (created if
+/// missing), or a fresh $TMPDIR/epa-<cmd>.XXXXXX.
+std::string fleet_dir(const std::string& dir, const char* cmd) {
+  if (dir.empty()) {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") + "/epa-" +
+                       cmd + ".XXXXXX";
+    if (!::mkdtemp(tmpl.data()))
+      throw std::runtime_error(std::string("cannot create temp dir: ") +
+                               std::strerror(errno));
+    return tmpl;
+  }
+  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
+    throw std::runtime_error("cannot create '" + dir +
+                             "': " + std::strerror(errno));
+  return dir;
+}
+
+/// The transport for one fleet draining `plan`. tcp listens for
+/// `workers` dial-ins; pipe and shm fork workers configured by `cfg`,
+/// with the plan written to `dir` as JSON (pipe) or frozen into an arena
+/// there with one segment per lease seq in `leases` (shm).
+std::unique_ptr<core::Transport> make_transport(
+    const char* cmd, DataPlane plane, int workers, int listen_port,
+    const std::string& port_file, core::LocalProcessConfig cfg,
+    const std::string& dir, const core::InjectionPlan& plan,
+    const std::vector<core::Lease>& leases) {
+  if (plane == DataPlane::tcp) {
+    net::TcpTransportConfig tcfg;
+    tcfg.listen_port = listen_port;
+    tcfg.port_file = port_file;
+    tcfg.workers = workers;
+    auto t = std::make_unique<net::TcpTransport>(tcfg, plan);
+    std::fprintf(stderr,
+                 "epa %s: listening on port %d; waiting for %d worker(s) "
+                 "(epa_cli worker --connect HOST:%d)\n",
+                 cmd, t->port(), workers, t->port());
+    return t;
+  }
+  cfg.out_dir = dir;
+  cfg.file_prefix = plan.scenario_name;
+  if (plane == DataPlane::shm)
+    return std::make_unique<core::ShmLocalTransport>(cfg, plan, leases);
+  cfg.plan_path = dir + "/" + plan.scenario_name + ".plan.json";
+  write_file(cfg.plan_path, plan.to_json());
+  return std::make_unique<core::LocalProcessTransport>(cfg);
+}
 
 /// `--lease auto` (the default): size leases from the measured per-item
 /// cost. Planning runs the scenario once (the trace run), so the
@@ -1296,21 +1267,8 @@ struct OrchestrateArgs {
 
 int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
   const bool tcp = a.plane == DataPlane::tcp;
-  std::string dir = a.dir;
-  if (!tcp) {  // the tcp plane moves no files; nothing to create
-    if (dir.empty()) {
-      const char* tmp = std::getenv("TMPDIR");
-      std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") +
-                         "/epa-orch.XXXXXX";
-      if (!::mkdtemp(tmpl.data()))
-        throw std::runtime_error(std::string("cannot create temp dir: ") +
-                                 std::strerror(errno));
-      dir = tmpl;
-    } else if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-      throw std::runtime_error("cannot create '" + dir +
-                               "': " + std::strerror(errno));
-    }
-  }
+  // The tcp plane moves no files; nothing to create.
+  const std::string dir = tcp ? a.dir : fleet_dir(a.dir, "orch");
 
   std::vector<core::Scenario> scenarios;
   if (a.all) {
@@ -1351,46 +1309,25 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
                    scenario.name.c_str(), oopts.lease_items, plan_ms);
     oopts.deadman_ms = a.deadman_ms;
 
-    std::unique_ptr<core::Transport> transport;
-    if (tcp) {
-      net::TcpTransportConfig tcfg;
-      tcfg.listen_port = a.listen_port;
-      tcfg.port_file = a.port_file;
-      tcfg.workers = a.workers;
-      auto t = std::make_unique<net::TcpTransport>(tcfg, plan);
-      std::fprintf(stderr,
-                   "epa orchestrate: listening on port %d; waiting for "
-                   "%d worker(s) (epa_cli worker --connect HOST:%d)\n",
-                   t->port(), a.workers, t->port());
-      transport = std::move(t);
-    } else {
-      core::LocalProcessConfig cfg;
-      cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-      cfg.out_dir = dir;
-      cfg.file_prefix = scenario.name;
-      // A spec file is forwarded so workers compile the same spec the
-      // coordinator planned, even when its name is not in the registry.
-      cfg.scenario_file = a.scenario_file;
-      cfg.jobs = a.jobs;
-      cfg.use_world_cache = a.use_world_cache;
-      cfg.use_redzone = a.use_redzone;
-      cfg.preempt_after = a.preempt_after;
-      cfg.checkpoint = a.checkpoint;
-      cfg.drain_delay_ms = a.drain_delay_ms;
-      if (a.plane == DataPlane::shm) {
-        // The shm data plane writes no plan JSON at all: the binary plan
-        // is frozen into the arena, sized against the exact lease
-        // partition orchestrate() will schedule (plus the reserve for
-        // stolen-tail leases).
-        transport = std::make_unique<core::ShmLocalTransport>(
-            cfg, plan, core::lease_partition(plan.items.size(), oopts));
-      } else {
-        std::string plan_path = dir + "/" + scenario.name + ".plan.json";
-        write_file(plan_path, plan.to_json());
-        cfg.plan_path = plan_path;
-        transport = std::make_unique<core::LocalProcessTransport>(cfg);
-      }
-    }
+    core::LocalProcessConfig cfg;
+    cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
+    // A spec file is forwarded so workers compile the same spec the
+    // coordinator planned, even when its name is not in the registry.
+    cfg.scenario_file = a.scenario_file;
+    cfg.jobs = a.jobs;
+    cfg.use_world_cache = a.use_world_cache;
+    cfg.use_redzone = a.use_redzone;
+    cfg.preempt_after = a.preempt_after;
+    cfg.checkpoint = a.checkpoint;
+    cfg.drain_delay_ms = a.drain_delay_ms;
+    // The shm arena is sized against the exact lease partition
+    // orchestrate() will schedule (plus the stolen-tail reserve).
+    std::unique_ptr<core::Transport> transport = make_transport(
+        "orchestrate", a.plane, a.workers, a.listen_port, a.port_file, cfg,
+        dir, plan,
+        a.plane == DataPlane::shm
+            ? core::lease_partition(plan.items.size(), oopts)
+            : std::vector<core::Lease>{});
 
     core::OrchestratorStats stats;
     sweep.results.push_back(
@@ -1405,8 +1342,8 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
                  stats.leases_split, stats.deadman_expiries);
   }
   if (!tcp)
-    std::fprintf(stderr, "epa orchestrate: plan and %s files in %s\n",
-                 a.plane == DataPlane::shm ? "arena" : "lease", dir.c_str());
+    std::fprintf(stderr, "epa orchestrate: %s files in %s\n",
+                 a.plane == DataPlane::shm ? "arena" : "plan", dir.c_str());
   // The adequacy summary rides stderr: stdout stays byte-identical to a
   // single-process run/sweep on every data plane.
   vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
@@ -1480,22 +1417,9 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
   }
 
   const bool orchestrated = a.workers > 0;
-  const bool tcp = a.plane == DataPlane::tcp;
-  std::string dir = a.dir;
-  if (orchestrated && !tcp) {
-    if (dir.empty()) {
-      const char* tmp = std::getenv("TMPDIR");
-      std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") +
-                         "/epa-search.XXXXXX";
-      if (!::mkdtemp(tmpl.data()))
-        throw std::runtime_error(std::string("cannot create temp dir: ") +
-                                 std::strerror(errno));
-      dir = tmpl;
-    } else if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-      throw std::runtime_error("cannot create '" + dir +
-                               "': " + std::strerror(errno));
-    }
-  }
+  const std::string dir = orchestrated && a.plane != DataPlane::tcp
+                              ? fleet_dir(a.dir, "search")
+                              : a.dir;
 
   core::NoveltyScorer scorer;  // shared across family members
   core::SweepResult sweep;
@@ -1572,51 +1496,31 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
               : static_cast<std::size_t>(a.lease);
 
       const std::size_t known = source.plan().items.size();
-      std::unique_ptr<core::Transport> transport;
-      if (tcp) {
-        net::TcpTransportConfig tcfg;
-        tcfg.listen_port = a.listen_port;
-        tcfg.port_file = a.port_file;
-        tcfg.workers = a.workers;
-        auto t = std::make_unique<net::TcpTransport>(tcfg, source.plan());
-        std::fprintf(stderr,
-                     "epa search: listening on port %d; waiting for "
-                     "%d worker(s) (epa_cli worker --connect HOST:%d)\n",
-                     t->port(), a.workers, t->port());
-        transport = std::move(t);
-      } else {
-        core::LocalProcessConfig cfg;
-        cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-        cfg.out_dir = dir;
-        cfg.file_prefix = scenario.name;
-        cfg.scenario_file = a.scenario_file;
-        cfg.jobs = a.jobs;
-        cfg.use_world_cache = a.use_world_cache;
-        cfg.use_redzone = a.use_redzone;
-        if (a.plane == DataPlane::shm) {
-          // The arena needs a segment per lease seq up front, but search
-          // leases are cut per wave as items are generated. Bound the seq
-          // space instead of enumerating it: every lease covers at least
-          // one item and the stream is capped at the budget, so budget
-          // leases (the ctor adds the stolen-tail reserve) of the grain's
-          // span each cover the worst case.
-          const std::size_t max_lease = std::max<std::size_t>(
-              1, std::min(oopts.lease_items,
-                          std::min(sopts.batch,
-                                   std::max<std::size_t>(member_budget, 1))));
-          std::vector<core::Lease> synth;
-          for (std::size_t s = 0; s < std::max<std::size_t>(member_budget, 1);
-               ++s)
-            synth.push_back({s, 0, max_lease});
-          transport = std::make_unique<core::ShmLocalTransport>(
-              cfg, source.plan(), synth);
-        } else {
-          std::string plan_path = dir + "/" + scenario.name + ".plan.json";
-          write_file(plan_path, source.plan().to_json());
-          cfg.plan_path = plan_path;
-          transport = std::make_unique<core::LocalProcessTransport>(cfg);
-        }
+      core::LocalProcessConfig cfg;
+      cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
+      cfg.scenario_file = a.scenario_file;
+      cfg.jobs = a.jobs;
+      cfg.use_world_cache = a.use_world_cache;
+      cfg.use_redzone = a.use_redzone;
+      // The shm arena needs a segment per lease seq up front, but search
+      // leases are cut per wave as items are generated. Bound the seq
+      // space instead of enumerating it: every lease covers at least one
+      // item and the stream is capped at the budget, so budget leases
+      // (the ctor adds the stolen-tail reserve) of the grain's span each
+      // cover the worst case.
+      std::vector<core::Lease> synth;
+      if (a.plane == DataPlane::shm) {
+        const std::size_t max_lease = std::max<std::size_t>(
+            1, std::min(oopts.lease_items,
+                        std::min(sopts.batch,
+                                 std::max<std::size_t>(member_budget, 1))));
+        for (std::size_t s = 0; s < std::max<std::size_t>(member_budget, 1);
+             ++s)
+          synth.push_back({s, 0, max_lease});
       }
+      std::unique_ptr<core::Transport> transport = make_transport(
+          "search", a.plane, a.workers, a.listen_port, a.port_file, cfg, dir,
+          source.plan(), synth);
 
       core::OrchestratorStats stats;
       result = core::orchestrate_source(source, *transport, oopts, &stats,
@@ -1754,8 +1658,8 @@ int main(int argc, char** argv) {
         binary = true;
       } else if (arg == "--merge") {
         opts.merge_equivalent_sites = true;
-      } else if (arg == "--sites" && i + 1 < argc) {
-        opts.only_sites = split(std::string(argv[++i]), ',');
+      } else if (arg == "--sites") {
+        opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
         saw_sites = true;
       } else if (arg == "--coverage") {
         opts.target_interaction_coverage =
@@ -1767,10 +1671,10 @@ int main(int argc, char** argv) {
         sweep_opts.jobs =
             static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
         saw_jobs = true;
-      } else if (arg == "--out" && i + 1 < argc) {
-        out_path = argv[++i];
-      } else if (arg == "--out-dir" && i + 1 < argc) {
-        out_dir = argv[++i];
+      } else if (arg == "--out") {
+        out_path = flag_value(arg, argc, argv, &i);
+      } else if (arg == "--out-dir") {
+        out_dir = flag_value(arg, argc, argv, &i);
         saw_out_dir = true;
       } else if (arg == "--scenario-file") {
         scenario_file = flag_value(arg, argc, argv, &i);
@@ -1824,12 +1728,12 @@ int main(int argc, char** argv) {
     RunShardArgs a;
     for (int i = 2; i < argc; ++i) {
       std::string arg = argv[i];
-      if (arg == "--shard" && i + 1 < argc) {
-        a.shard_spec = argv[++i];
-      } else if (arg == "--resume" && i + 1 < argc) {
-        a.resume_path = argv[++i];
-      } else if (arg == "--out" && i + 1 < argc) {
-        a.out_path = argv[++i];
+      if (arg == "--shard") {
+        a.shard_spec = flag_value(arg, argc, argv, &i);
+      } else if (arg == "--resume") {
+        a.resume_path = flag_value(arg, argc, argv, &i);
+      } else if (arg == "--out") {
+        a.out_path = flag_value(arg, argc, argv, &i);
       } else if (arg == "--scenario-file") {
         a.scenario_file = flag_value(arg, argc, argv, &i);
       } else if (arg == "--jobs") {
@@ -1966,18 +1870,7 @@ int main(int argc, char** argv) {
         a.port_file = flag_value(arg, argc, argv, &i);
         saw_port_file = true;
       } else if (arg == "--data-plane") {
-        // `json` is the documented alias of `pipe` — the data plane was
-        // named after its encoding before tcp made that ambiguous.
-        std::string v = flag_value(arg, argc, argv, &i);
-        if (v == "pipe" || v == "json")
-          a.plane = DataPlane::pipe;
-        else if (v == "shm")
-          a.plane = DataPlane::shm;
-        else if (v == "tcp")
-          a.plane = DataPlane::tcp;
-        else
-          flag_fail(arg,
-                    "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+        a.plane = data_plane_flag(arg, argc, argv, &i);
       } else if (arg == "--json") {
         a.as_json = true;
       } else if (arg == "--no-world-cache") {
@@ -2070,16 +1963,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--lease") {
         parse_lease_flag(arg, argc, argv, &i, &a.lease, &a.lease_auto);
       } else if (arg == "--data-plane") {
-        std::string v = flag_value(arg, argc, argv, &i);
-        if (v == "pipe" || v == "json")
-          a.plane = DataPlane::pipe;
-        else if (v == "shm")
-          a.plane = DataPlane::shm;
-        else if (v == "tcp")
-          a.plane = DataPlane::tcp;
-        else
-          flag_fail(arg,
-                    "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+        a.plane = data_plane_flag(arg, argc, argv, &i);
       } else if (arg == "--listen") {
         a.listen_port =
             static_cast<int>(int_flag(arg, argc, argv, &i, 0, 65535));
@@ -2206,8 +2090,8 @@ int main(int argc, char** argv) {
       opts.merge_equivalent_sites = true;
     } else if (arg == "--json") {
       as_json = true;
-    } else if (arg == "--sites" && i + 1 < argc) {
-      opts.only_sites = split(std::string(argv[++i]), ',');
+    } else if (arg == "--sites") {
+      opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
     } else if (arg == "--coverage") {
       opts.target_interaction_coverage =
           unit_interval_flag(arg, argc, argv, &i);

@@ -24,8 +24,10 @@
 #   -c CHECKPOINT   flush a resumable partial report every K outcomes; a
 #                   worker that exits 4 (preempted, e.g. SIGTERM) is
 #                   automatically completed with run-shard --resume
-#                   (with -O/-D: workers flush partials mid-lease and
-#                   preemption re-leases the unfinished range)
+#                   (with -O/-D: workers checkpoint mid-lease — a
+#                   heartbeat each chunk, a partial report frame into
+#                   the arena with -D shm — and preemption re-leases the
+#                   unfinished range)
 #   -P PREEMPT      self-preempt each worker after N checkpoint flushes
 #                   (with -O/-D and no -c: after N served leases;
 #                   testing hook)
@@ -161,8 +163,10 @@ fi
 
 # -O/-B: hand the whole pipeline to the orchestrator — dynamic id-range
 # leases over persistent workers, preempted leases re-leased
-# automatically. -n is the worker count; plan and lease files (or the
-# shm arena, with -B) land in OUTDIR like the shard files below would.
+# automatically. -n is the worker count; the plan file (or the shm
+# arena, with -B) lands in OUTDIR like the shard files below would. Lease
+# reports return to the coordinator over the worker's framed session
+# (or through the arena) and are never written as files.
 if [ -n "$orchestrate" ]; then
   orch_flags=()
   [ -n "$data_plane" ] && orch_flags+=(--data-plane "$data_plane")
@@ -174,10 +178,10 @@ if [ -n "$orchestrate" ]; then
     "${orch_flags[@]}" || rc=$?
   # 3 = candidate vulnerabilities: a finding, not a pipeline failure.
   [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ] || exit "$rc"
-  if [ -n "$data_plane" ]; then
+  if [ "$data_plane" = shm ]; then
     echo "plan+report arena in $outdir" >&2
   else
-    echo "lease files in $outdir" >&2
+    echo "plan file in $outdir" >&2
   fi
   exit "$rc"
 fi

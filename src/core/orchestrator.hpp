@@ -34,10 +34,11 @@
 // byte-identical to a single-process run no matter how leases were
 // scheduled, split, or re-leased.
 //
-// Transports: LocalProcessTransport (pipes + report files),
-// ShmLocalTransport (mmap'd arena), TcpTransport (net/transport_tcp.hpp,
-// remote workers over sockets). All three speak the same versioned line
-// protocol (core/protocol.hpp).
+// Transports: LocalProcessTransport (forked workers over pipes),
+// ShmLocalTransport (the same, reports through an mmap'd arena),
+// TcpTransport (net/transport_tcp.hpp, remote workers over sockets). All
+// three run one framed worker session per worker (core/transport.hpp)
+// speaking the versioned protocol of core/protocol.hpp.
 #pragma once
 
 #include <cstddef>

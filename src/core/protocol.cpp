@@ -1,7 +1,14 @@
 #include "core/protocol.hpp"
 
+#include <poll.h>
+#include <unistd.h>
+
 #include <cctype>
+#include <cerrno>
+#include <cstring>
 #include <limits>
+
+#include "core/orchestrator.hpp"
 
 namespace ep::core {
 namespace {
@@ -192,6 +199,105 @@ std::string format_protocol_msg(const ProtocolMsg& msg) {
       return format_exit();
   }
   return {};
+}
+
+namespace {
+
+/// Anything bigger than this is a corrupt length prefix, not a frame —
+/// the largest real payload is a plan or report, megabytes at worst.
+constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
+
+}  // namespace
+
+void FrameBuffer::feed(const char* data, std::size_t n) {
+  buf_.append(data, n);
+}
+
+bool FrameBuffer::pop(std::string* payload) {
+  if (buf_.size() < 4) return false;
+  const auto* p = reinterpret_cast<const unsigned char*>(buf_.data());
+  std::size_t len = static_cast<std::size_t>(p[0]) |
+                    (static_cast<std::size_t>(p[1]) << 8) |
+                    (static_cast<std::size_t>(p[2]) << 16) |
+                    (static_cast<std::size_t>(p[3]) << 24);
+  if (len > kMaxFrameBytes)
+    throw OrchestratorError("frame: oversized frame (" +
+                            std::to_string(len) +
+                            " bytes) — corrupt length prefix");
+  if (buf_.size() < 4 + len) return false;
+  payload->assign(buf_, 4, len);
+  buf_.erase(0, 4 + len);
+  return true;
+}
+
+bool send_frame(int fd, const std::string& payload) {
+  if (fd < 0) return false;
+  unsigned char header[4] = {
+      static_cast<unsigned char>(payload.size() & 0xFF),
+      static_cast<unsigned char>((payload.size() >> 8) & 0xFF),
+      static_cast<unsigned char>((payload.size() >> 16) & 0xFF),
+      static_cast<unsigned char>((payload.size() >> 24) & 0xFF)};
+  std::string wire(reinterpret_cast<char*>(header), 4);
+  wire += payload;
+  std::size_t off = 0;
+  while (off < wire.size()) {
+    ssize_t n = ::write(fd, wire.data() + off, wire.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;  // the read side tells the death story
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool recv_frame(int fd, FrameBuffer* fb, std::string* payload,
+                long timeout_ms) {
+  for (;;) {
+    if (fb->pop(payload)) return true;
+    pollfd pfd{fd, POLLIN, 0};
+    int ready = ::poll(&pfd, 1,
+                       timeout_ms < 0 ? -1 : static_cast<int>(timeout_ms));
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      throw OrchestratorError(std::string("poll: ") + std::strerror(errno));
+    }
+    if (ready == 0)
+      throw OrchestratorError("frame: timed out waiting for a frame");
+    char buf[1 << 16];
+    ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n > 0) {
+      fb->feed(buf, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      if (fb->mid_frame())
+        throw OrchestratorError("frame: peer closed mid-frame");
+      return false;
+    } else if (errno != EINTR && errno != EAGAIN) {
+      return false;  // reset: same as a close for our purposes
+    }
+  }
+}
+
+bool pump_nonblocking(int fd, FrameBuffer* fb) {
+  for (;;) {
+    pollfd pfd{fd, POLLIN, 0};
+    int ready = ::poll(&pfd, 1, 0);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return true;
+    }
+    if (ready == 0) return true;
+    char buf[1 << 16];
+    ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n > 0) {
+      fb->feed(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n == 0) return false;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN) return true;
+    return false;
+  }
 }
 
 }  // namespace ep::core

@@ -1,14 +1,13 @@
-// The worker line protocol — one grammar shared by every transport.
+// The worker protocol — one grammar and one framing shared by every
+// transport.
 //
-// PR 5/6 grew the control protocol ad hoc: each transport parsed DONE
-// lines with sscanf and stuffed everything after "DONE <b> <e>" into a
-// string remainder its subclass hook re-parsed. A third transport (tcp)
-// would have meant a third copy of that parsing, so the protocol is now
-// a module of its own: typed messages, one parser, one formatter set,
-// used by the coordinator-side transports (pipe, shm, tcp) and by the
-// worker loop in epa_cli alike. Over pipes a message is one newline-
-// terminated line; over tcp the same line rides as one length-prefixed
-// frame — the bytes between the delimiters are identical.
+// A message is a protocol line (the grammar below) carried as one frame:
+// a u32 little-endian payload length, then the payload. The framing is
+// the same on every data plane — over a fork/exec worker's stdin/stdout
+// (pipe and shm) and over a dialed-in worker's socket (tcp) — so the
+// coordinator runs one session (core/session.hpp) and the worker one
+// channel, whatever the fd underneath. Binary payloads (a plan, a lease
+// report) ride in the same frames as the lines.
 //
 // Version 3 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
 // version 3 adds FEEDBACK, the search-plane item append):
@@ -19,14 +18,18 @@
 //     YIELD <mid> <end>               answer to STEAL: the worker keeps
 //                                     [begin, mid) and surrenders
 //                                     [mid, end) of its in-flight lease
-//     DONE <begin> <end>              lease finished (JSON/tcp data plane)
+//     DONE <begin> <end>              lease finished; the next frame is
+//                                     its binary report (pipe and tcp)
 //     DONE <begin> <end> <off> <len>  lease finished, shm arena handoff
-//     BYE <status>                    tcp only: exit status before closing
+//     BYE <status>                    exit status, sent before closing;
+//                                     authoritative only where the
+//                                     coordinator cannot wait(2) (tcp)
 //
 //   coordinator -> worker
-//     LEASE <begin> <end> <target>    target: report path, @<seq> arena
-//                                     segment, or `-` (report returns as
-//                                     a tcp frame)
+//     LEASE <begin> <end> <target>    target: `-` (the report returns as
+//                                     the frame after DONE) or `@<seq>`
+//                                     (the report goes to arena segment
+//                                     <seq>)
 //     FEEDBACK <begin> <end> <spec>   append search-generated work items
 //                                     [begin, end) to the worker's plan
 //                                     before their lease arrives; <spec>
@@ -102,5 +105,38 @@ std::string format_exit();
 /// parse_protocol_line(), used by the doc test to prove the documented
 /// transcript is canonical.
 std::string format_protocol_msg(const ProtocolMsg& msg);
+
+// --- Framing -----------------------------------------------------------
+
+/// Incremental frame reassembly: feed() raw bytes, pop() complete
+/// payloads. mid_frame() says bytes are buffered but incomplete — how
+/// EOF-mid-frame is told apart from EOF at a boundary. pop() throws
+/// OrchestratorError on a length prefix no real payload could have.
+class FrameBuffer {
+ public:
+  void feed(const char* data, std::size_t n);
+  bool pop(std::string* payload);
+  bool mid_frame() const { return !buf_.empty(); }
+
+ private:
+  std::string buf_;
+};
+
+/// Write one length-prefixed frame. Returns false on any write failure
+/// (EPIPE, reset, a closed fd) — the death story belongs to the read
+/// side, not here.
+bool send_frame(int fd, const std::string& payload);
+
+/// Block until one frame is available in `fb` (reading from `fd` as
+/// needed), the peer closes (returns false), or `timeout_ms` passes
+/// (throws OrchestratorError; < 0 = wait forever). EOF mid-frame throws
+/// — the peer died mid-sentence.
+bool recv_frame(int fd, FrameBuffer* fb, std::string* payload,
+                long timeout_ms = -1);
+
+/// Drain whatever is readable *right now* into `fb` without blocking —
+/// how a draining worker polls for STEAL between chunks. Returns false
+/// once the peer has closed.
+bool pump_nonblocking(int fd, FrameBuffer* fb);
 
 }  // namespace ep::core

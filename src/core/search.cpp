@@ -44,8 +44,9 @@ std::string verdict_sig(const std::string& fault_key,
          (o.crashed ? "c" : "-") + "|" + std::to_string(o.exit_code);
 }
 
-/// Mutation params must survive a JSON round trip (plans serialize them
-/// through as_int), so they live in [1, 2^63).
+/// Mutation params live in [1, 2^63): nonzero, since 0 means "no param".
+/// The range is part of what a seed generates — changing it changes
+/// every search's output.
 std::uint64_t mutation_param(Rng& prng) {
   return prng.next_u64() % 0x7fffffffffffffffULL + 1;
 }
@@ -350,7 +351,8 @@ SearchState search_state_from_json(const std::string& text) {
   st.scenario_name = with_ctx(
       "search state: scenario", [&] { return doc.at("scenario").as_string(); });
   if (st.scenario_name.empty()) fail("scenario name is empty");
-  st.seed = static_cast<std::uint64_t>(parse_count(doc, "seed"));
+  st.seed = with_ctx("search state: seed",
+                     [&] { return doc.at("seed").as_u64(); });
   st.budget = parse_count(doc, "budget");
   st.batch = parse_count(doc, "batch");
 
@@ -379,10 +381,7 @@ SearchState search_state_from_json(const std::string& text) {
       else
         throw WireError("unknown fault kind '" + ks + "'");
       it.fault = v.at("fault").as_string();
-      long long param = v.at("param").as_int();
-      if (param < 0)
-        throw WireError("param " + std::to_string(param) + " must be >= 0");
-      it.param = static_cast<std::uint64_t>(param);
+      it.param = v.at("param").as_u64();
       st.items.push_back(std::move(it));
     });
   }

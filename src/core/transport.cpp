@@ -27,38 +27,6 @@ void set_cloexec(int fd) {
     sys_fail("fcntl(FD_CLOEXEC)");
 }
 
-/// Write all of `text`, ignoring EPIPE: a worker that died mid-write
-/// surfaces as a preempted/died event from wait_any(), which is where
-/// the orchestrator handles death — not here.
-void write_line(int fd, const std::string& text) {
-  std::size_t off = 0;
-  while (off < text.size()) {
-    ssize_t n = ::write(fd, text.data() + off, text.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // EPIPE et al.: the death event carries the real story
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-std::string read_file_or_throw(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f)
-    throw OrchestratorError("cannot read lease report '" + path +
-                            "': " + std::strerror(errno));
-  std::string out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad)
-    throw OrchestratorError("error while reading lease report '" + path +
-                            "'");
-  return out;
-}
-
 /// SIGTERM-family deaths are preemptions (the cluster took the host
 /// back); anything else — SIGSEGV, SIGABRT — is a worker bug that a
 /// respawn would only repeat.
@@ -67,7 +35,246 @@ bool signal_is_preemption(int signo) {
          signo == SIGHUP;
 }
 
+int wait_for(pid_t pid) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return status;
+}
+
 }  // namespace
+
+WorkerEvent exit_event(std::size_t worker, int status) {
+  WorkerEvent ev;
+  ev.worker = worker;
+  ev.status = status;
+  ev.kind = status == 0   ? WorkerEvent::Kind::exited
+            : status == 4 ? WorkerEvent::Kind::preempted
+                          : WorkerEvent::Kind::died;
+  return ev;
+}
+
+// --- WorkerSession ----------------------------------------------------------
+
+WorkerSession::WorkerSession(std::size_t id, int in_fd, int out_fd,
+                             HandoffDecoder handoff)
+    : id_(id), in_fd_(in_fd), out_fd_(out_fd), handoff_(std::move(handoff)) {}
+
+WorkerSession::~WorkerSession() { close(); }
+
+void WorkerSession::close() {
+  if (in_fd_ >= 0 && in_fd_ != out_fd_) ::close(in_fd_);
+  if (out_fd_ >= 0) ::close(out_fd_);
+  in_fd_ = out_fd_ = -1;
+}
+
+bool WorkerSession::send(const std::string& payload) {
+  return send_frame(in_fd_, payload);
+}
+
+void WorkerSession::grant(const Lease& lease, const std::string& target) {
+  has_lease_ = true;
+  lease_ = lease;
+  send(format_lease(lease.begin, lease.end, target));
+}
+
+void WorkerSession::shutdown() {
+  send(format_exit());
+  if (in_fd_ >= 0 && in_fd_ != out_fd_) {
+    ::close(in_fd_);
+    in_fd_ = -1;
+  }
+}
+
+bool WorkerSession::handshake(long timeout_ms) {
+  std::string frame;
+  try {
+    if (!recv_frame(out_fd_, &frames_, &frame, timeout_ms)) return false;
+  } catch (const OrchestratorError&) {
+    return false;  // timed out or died mid-frame
+  }
+  (void)on_frame(frame);
+  return true;
+}
+
+void WorkerSession::pump() {
+  char buf[1 << 16];
+  ssize_t n = ::read(out_fd_, buf, sizeof buf);
+  if (n > 0)
+    frames_.feed(buf, static_cast<std::size_t>(n));
+  else if (n == 0 || (errno != EINTR && errno != EAGAIN))
+    saw_eof_ = true;
+}
+
+std::optional<WorkerEvent> WorkerSession::next_event() {
+  std::string frame;
+  while (frames_.pop(&frame))
+    if (std::optional<WorkerEvent> ev = on_frame(frame)) return ev;
+  return std::nullopt;
+}
+
+void WorkerSession::fail(const std::string& why) const {
+  throw OrchestratorError("worker " + std::to_string(id_) + " " + why);
+}
+
+std::optional<WorkerEvent> WorkerSession::on_frame(const std::string& frame) {
+  WorkerEvent ev;
+  ev.worker = id_;
+  ev.lease = lease_;
+
+  if (awaiting_report_) {
+    awaiting_report_ = false;
+    has_lease_ = false;
+    ev.kind = WorkerEvent::Kind::lease_done;
+    ev.label = "worker " + std::to_string(id_) + " lease " +
+               std::to_string(lease_.seq);
+    try {
+      ev.report = shard_report_from_binary(frame.data(), frame.size());
+    } catch (const WireError& e) {
+      fail("sent a bad report frame for lease " +
+           std::to_string(lease_.seq) + ": " + e.what());
+    }
+    return ev;
+  }
+
+  ProtocolMsg msg;
+  if (!parse_protocol_line(frame, &msg))
+    fail("sent an unexpected protocol message '" + frame + "'");
+
+  if (!said_hello_) {
+    if (msg.type != ProtocolMsg::Type::hello)
+      fail("opened with '" + frame + "' instead of HELLO " +
+           std::to_string(kWorkerProtocolVersion) +
+           " (a pre-handshake fleet?)");
+    if (msg.version != kWorkerProtocolVersion)
+      fail("speaks worker protocol version " + std::to_string(msg.version) +
+           "; this coordinator speaks version " +
+           std::to_string(kWorkerProtocolVersion) +
+           " — upgrade so both ends match");
+    said_hello_ = true;
+    ev.kind = WorkerEvent::Kind::heartbeat;
+    return ev;
+  }
+
+  switch (msg.type) {
+    case ProtocolMsg::Type::ping:
+      ev.kind = WorkerEvent::Kind::heartbeat;
+      return ev;
+    case ProtocolMsg::Type::yield:
+      // YIELD <mid> <end>: the worker keeps [begin, mid) of its lease and
+      // surrenders [mid, end). Shrink our record so the upcoming
+      // DONE <begin> <mid> matches it.
+      if (!has_lease_ || msg.begin <= lease_.begin ||
+          msg.begin >= lease_.end || msg.end != lease_.end)
+        fail("sent an unexpected yield '" + frame + "'");
+      ev.kind = WorkerEvent::Kind::lease_yielded;
+      ev.yield_mid = msg.begin;
+      lease_.end = msg.begin;
+      return ev;
+    case ProtocolMsg::Type::done:
+      if (!has_lease_ || msg.begin != lease_.begin || msg.end != lease_.end)
+        fail("sent a DONE '" + frame + "' that matches no lease it holds");
+      if (msg.has_handoff != static_cast<bool>(handoff_))
+        fail(msg.has_handoff
+                 ? "sent an arena handoff '" + frame +
+                       "' on a data plane whose reports ride as frames"
+                 : "sent '" + frame +
+                       "' without the arena (offset, length) handoff");
+      if (!handoff_) {
+        awaiting_report_ = true;
+        return std::nullopt;  // the next frame carries the report
+      }
+      ev.kind = WorkerEvent::Kind::lease_done;
+      handoff_(lease_, msg, &ev);
+      has_lease_ = false;
+      return ev;
+    case ProtocolMsg::Type::bye:
+      // The exit announcement; the event is raised when the close lands.
+      said_bye_ = true;
+      bye_status_ = msg.status;
+      return std::nullopt;
+    default:
+      // A second HELLO; LEASE/FEEDBACK/STEAL/EXIT are coordinator-to-
+      // worker only.
+      fail("sent an unexpected protocol message '" + frame + "'");
+  }
+}
+
+// --- FramedTransport --------------------------------------------------------
+
+WorkerSession& FramedTransport::adopt(int in_fd, int out_fd) {
+  return sessions_.emplace_back(sessions_.size(), in_fd, out_fd,
+                                handoff_decoder());
+}
+
+WorkerSession& FramedTransport::session(std::size_t worker, const char* op) {
+  if (worker >= sessions_.size())
+    throw OrchestratorError(std::string(op) + ": unknown worker " +
+                            std::to_string(worker));
+  return sessions_[worker];
+}
+
+std::string FramedTransport::lease_token(const Lease& /*lease*/) const {
+  return "-";
+}
+
+WorkerSession::HandoffDecoder FramedTransport::handoff_decoder() {
+  return {};
+}
+
+void FramedTransport::submit(std::size_t worker, const Lease& lease) {
+  session(worker, "submit").grant(lease, lease_token(lease));
+}
+
+void FramedTransport::steal(std::size_t worker) {
+  session(worker, "steal").send(format_steal());
+}
+
+void FramedTransport::feedback(std::size_t worker, const InjectionPlan& plan,
+                               std::size_t begin, std::size_t end) {
+  session(worker, "feedback")
+      .send(format_feedback(begin, end, feedback_spec(plan, begin, end)));
+}
+
+void FramedTransport::shutdown(std::size_t worker) {
+  session(worker, "shutdown").shutdown();
+}
+
+std::optional<WorkerEvent> FramedTransport::wait_any(long timeout_ms) {
+  std::vector<pollfd> fds;
+  std::vector<WorkerSession*> owners;
+  for (;;) {
+    // Deliver buffered frames before reaping: a worker that sent DONE
+    // (and its report) and exited must yield lease_done first, or its
+    // finished lease would be pointlessly re-drained.
+    for (WorkerSession& s : sessions_) {
+      if (!s.open()) continue;
+      if (std::optional<WorkerEvent> ev = s.next_event()) return ev;
+      if (s.saw_eof()) return reap(s.id());
+    }
+
+    fds.clear();
+    owners.clear();
+    for (WorkerSession& s : sessions_) {
+      if (!s.open() || s.saw_eof()) continue;
+      fds.push_back({s.read_fd(), POLLIN, 0});
+      owners.push_back(&s);
+    }
+    if (fds.empty())
+      throw OrchestratorError("wait_any: no live workers to wait on");
+    int ready = ::poll(fds.data(), fds.size(),
+                       timeout_ms < 0 ? -1 : static_cast<int>(timeout_ms));
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      sys_fail("poll");
+    }
+    if (ready == 0) return std::nullopt;  // the deadman's polling edge
+    for (std::size_t i = 0; i < fds.size(); ++i)
+      if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) owners[i]->pump();
+  }
+}
+
+// --- LocalProcessTransport --------------------------------------------------
 
 LocalProcessTransport::LocalProcessTransport(LocalProcessConfig config)
     : config_(std::move(config)) {
@@ -78,15 +285,11 @@ LocalProcessTransport::LocalProcessTransport(LocalProcessConfig config)
 }
 
 LocalProcessTransport::~LocalProcessTransport() {
-  for (Proc& p : procs_) {
-    if (!p.alive) continue;
-    if (p.in_fd >= 0) ::close(p.in_fd);
-    if (p.out_fd >= 0) ::close(p.out_fd);
-    ::kill(p.pid, SIGTERM);
-    int status = 0;
-    while (::waitpid(p.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    p.alive = false;
+  for (WorkerSession& s : sessions_) {
+    if (!s.open()) continue;
+    s.close();
+    ::kill(pids_[s.id()], SIGTERM);
+    (void)wait_for(pids_[s.id()]);
   }
 }
 
@@ -130,25 +333,6 @@ void LocalProcessTransport::append_common_args(
   }
 }
 
-std::string LocalProcessTransport::lease_token(const Lease& lease) const {
-  return config_.out_dir + "/" + config_.file_prefix + ".lease" +
-         std::to_string(lease.seq) + ".json";
-}
-
-void LocalProcessTransport::load_report(const Proc& p,
-                                        const ProtocolMsg& done,
-                                        WorkerEvent& ev) {
-  if (done.has_handoff)
-    throw OrchestratorError(
-        "DONE carries an arena handoff on the file data plane");
-  ev.label = p.lease_token;
-  try {
-    ev.report = shard_report_from_json(read_file_or_throw(p.lease_token));
-  } catch (const WireError& e) {
-    throw OrchestratorError(p.lease_token + ": " + e.what());
-  }
-}
-
 std::optional<std::size_t> LocalProcessTransport::spawn() {
   int to_child[2];   // coordinator writes, worker reads (stdin)
   int from_child[2]; // worker writes (stdout), coordinator reads
@@ -177,7 +361,7 @@ std::optional<std::size_t> LocalProcessTransport::spawn() {
     sys_fail("fork");
   }
   if (pid == 0) {
-    // Worker: protocol on stdin/stdout, stderr inherited.
+    // Worker: framed session on stdin/stdout, stderr inherited.
     ::dup2(to_child[0], STDIN_FILENO);
     ::dup2(from_child[1], STDOUT_FILENO);
     ::close(to_child[0]);
@@ -193,237 +377,37 @@ std::optional<std::size_t> LocalProcessTransport::spawn() {
   }
   ::close(to_child[0]);
   ::close(from_child[1]);
-
-  Proc p;
-  p.pid = pid;
-  p.in_fd = to_child[1];
-  p.out_fd = from_child[0];
-  p.alive = true;
-  procs_.push_back(std::move(p));
-  return procs_.size() - 1;
-}
-
-void LocalProcessTransport::submit(std::size_t worker, const Lease& lease) {
-  if (worker >= procs_.size())
-    throw OrchestratorError("submit: unknown worker " +
-                            std::to_string(worker));
-  Proc& p = procs_[worker];
-  p.has_lease = true;
-  p.lease = lease;
-  p.lease_token = lease_token(lease);
-  if (p.in_fd < 0) return;  // already shut down; death event will follow
-  write_line(p.in_fd,
-             format_lease(lease.begin, lease.end, p.lease_token) + "\n");
-}
-
-void LocalProcessTransport::feedback(std::size_t worker,
-                                     const InjectionPlan& plan,
-                                     std::size_t begin, std::size_t end) {
-  if (worker >= procs_.size())
-    throw OrchestratorError("feedback: unknown worker " +
-                            std::to_string(worker));
-  Proc& p = procs_[worker];
-  if (!p.alive || p.in_fd < 0) return;  // death event will follow anyway
-  write_line(p.in_fd,
-             format_feedback(begin, end, feedback_spec(plan, begin, end)) +
-                 "\n");
-}
-
-void LocalProcessTransport::steal(std::size_t worker) {
-  if (worker >= procs_.size())
-    throw OrchestratorError("steal: unknown worker " +
-                            std::to_string(worker));
-  Proc& p = procs_[worker];
-  if (!p.alive || p.in_fd < 0) return;  // death event will follow anyway
-  write_line(p.in_fd, format_steal() + "\n");
-}
-
-WorkerEvent LocalProcessTransport::handle_line(std::size_t worker,
-                                               const std::string& line) {
-  Proc& p = procs_[worker];
-  ProtocolMsg msg;
-  if (!parse_protocol_line(line, &msg))
-    throw OrchestratorError("worker " + std::to_string(worker) +
-                            ": unexpected protocol line '" + line + "'");
-
-  WorkerEvent ev;
-  ev.worker = worker;
-
-  if (msg.type == ProtocolMsg::Type::hello) {
-    if (p.said_hello)
-      throw OrchestratorError("worker " + std::to_string(worker) +
-                              " sent HELLO twice");
-    if (msg.version != kWorkerProtocolVersion)
-      throw OrchestratorError(
-          "worker " + std::to_string(worker) +
-          " speaks worker protocol version " +
-          std::to_string(msg.version) +
-          "; this coordinator speaks version " +
-          std::to_string(kWorkerProtocolVersion) +
-          " — upgrade so both ends match");
-    p.said_hello = true;
-    ev.kind = WorkerEvent::Kind::heartbeat;
-    return ev;
-  }
-  if (!p.said_hello)
-    throw OrchestratorError(
-        "worker " + std::to_string(worker) +
-        " did not open with HELLO " +
-        std::to_string(kWorkerProtocolVersion) +
-        " (a pre-handshake fleet?); first line was '" + line + "'");
-
-  switch (msg.type) {
-    case ProtocolMsg::Type::ping:
-      ev.kind = WorkerEvent::Kind::heartbeat;
-      return ev;
-    case ProtocolMsg::Type::yield: {
-      // YIELD <mid> <end>: the worker keeps [begin, mid) of its lease
-      // and surrenders [mid, end). Shrink our record so the upcoming
-      // DONE <begin> <mid> matches it.
-      if (!p.has_lease || msg.begin <= p.lease.begin ||
-          msg.begin >= p.lease.end || msg.end != p.lease.end)
-        throw OrchestratorError("worker " + std::to_string(worker) +
-                                ": unexpected yield '" + line + "'");
-      ev.kind = WorkerEvent::Kind::lease_yielded;
-      ev.lease = p.lease;
-      ev.yield_mid = msg.begin;
-      p.lease.end = msg.begin;
-      return ev;
-    }
-    case ProtocolMsg::Type::done: {
-      if (!p.has_lease || msg.begin != p.lease.begin ||
-          msg.end != p.lease.end)
-        throw OrchestratorError("worker " + std::to_string(worker) +
-                                ": unexpected protocol line '" + line +
-                                "'");
-      ev.kind = WorkerEvent::Kind::lease_done;
-      ev.lease = p.lease;
-      try {
-        load_report(p, msg, ev);
-      } catch (const OrchestratorError&) {
-        throw;
-      } catch (const std::exception& e) {
-        throw OrchestratorError("worker " + std::to_string(worker) + ": " +
-                                e.what());
-      }
-      p.has_lease = false;
-      return ev;
-    }
-    default:
-      // BYE belongs to the tcp transport; LEASE/STEAL/EXIT are
-      // coordinator-to-worker only.
-      throw OrchestratorError("worker " + std::to_string(worker) +
-                              ": unexpected protocol line '" + line + "'");
-  }
+  pids_.push_back(pid);
+  return adopt(to_child[1], from_child[0]).id();
 }
 
 WorkerEvent LocalProcessTransport::reap(std::size_t worker) {
-  Proc& p = procs_[worker];
-  if (p.in_fd >= 0) ::close(p.in_fd);
-  ::close(p.out_fd);
-  p.in_fd = p.out_fd = -1;
-  int status = 0;
-  while (::waitpid(p.pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  p.alive = false;
+  sessions_[worker].close();
+  int status = wait_for(pids_[worker]);
+  if (WIFEXITED(status)) return exit_event(worker, WEXITSTATUS(status));
   WorkerEvent ev;
   ev.worker = worker;
-  if (WIFEXITED(status)) {
-    ev.status = WEXITSTATUS(status);
-    ev.kind = ev.status == 0   ? WorkerEvent::Kind::exited
-              : ev.status == 4 ? WorkerEvent::Kind::preempted
-                               : WorkerEvent::Kind::died;
-  } else if (WIFSIGNALED(status)) {
+  ev.kind = WorkerEvent::Kind::died;
+  if (WIFSIGNALED(status)) {
     ev.status = -WTERMSIG(status);
-    ev.kind = signal_is_preemption(WTERMSIG(status))
-                  ? WorkerEvent::Kind::preempted
-                  : WorkerEvent::Kind::died;
-  } else {
-    ev.kind = WorkerEvent::Kind::died;
+    if (signal_is_preemption(WTERMSIG(status)))
+      ev.kind = WorkerEvent::Kind::preempted;
   }
   return ev;
 }
 
-std::optional<WorkerEvent> LocalProcessTransport::wait_any(
-    long timeout_ms) {
-  for (;;) {
-    // Deliver buffered protocol lines before reaping: a worker that
-    // printed DONE and exited must yield lease_done first, or its
-    // finished lease would be pointlessly re-drained.
-    for (std::size_t w = 0; w < procs_.size(); ++w) {
-      Proc& p = procs_[w];
-      if (!p.alive) continue;
-      std::size_t nl = p.buf.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = p.buf.substr(0, nl);
-        p.buf.erase(0, nl + 1);
-        return handle_line(w, line);
-      }
-      if (p.saw_eof) return reap(w);
-    }
-
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> owners;
-    for (std::size_t w = 0; w < procs_.size(); ++w) {
-      Proc& p = procs_[w];
-      if (!p.alive || p.saw_eof) continue;
-      fds.push_back({p.out_fd, POLLIN, 0});
-      owners.push_back(w);
-    }
-    if (fds.empty())
-      throw OrchestratorError("wait_any: no live workers to wait on");
-    int ready = ::poll(fds.data(), fds.size(),
-                       timeout_ms < 0 ? -1 : static_cast<int>(timeout_ms));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      sys_fail("poll");
-    }
-    if (ready == 0) return std::nullopt;  // the deadman's polling edge
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      Proc& p = procs_[owners[i]];
-      char buf[4096];
-      ssize_t n = ::read(p.out_fd, buf, sizeof buf);
-      if (n > 0)
-        p.buf.append(buf, static_cast<std::size_t>(n));
-      else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN))
-        p.saw_eof = true;
-    }
-  }
-}
-
-void LocalProcessTransport::shutdown(std::size_t worker) {
-  if (worker >= procs_.size())
-    throw OrchestratorError("shutdown: unknown worker " +
-                            std::to_string(worker));
-  Proc& p = procs_[worker];
-  if (!p.alive || p.in_fd < 0) return;
-  write_line(p.in_fd, format_exit() + "\n");
-  // Close stdin too: EOF ends the worker loop even if the EXIT line was
-  // lost to a full pipe or a half-dead worker.
-  ::close(p.in_fd);
-  p.in_fd = -1;
-}
-
 void LocalProcessTransport::kill(std::size_t worker) {
-  if (worker >= procs_.size())
-    throw OrchestratorError("kill: unknown worker " +
-                            std::to_string(worker));
-  Proc& p = procs_[worker];
-  if (!p.alive) return;
-  if (p.in_fd >= 0) ::close(p.in_fd);
-  if (p.out_fd >= 0) ::close(p.out_fd);
-  p.in_fd = p.out_fd = -1;
+  WorkerSession& s = session(worker, "kill");
+  if (!s.open()) return;
+  s.close();
   // SIGKILL, not SIGTERM: the deadman fires for workers that are wedged
   // (stopped, swallowing signals, spinning) — the polite signal already
   // had its chance via the heartbeat window.
-  ::kill(p.pid, SIGKILL);
-  int status = 0;
-  while (::waitpid(p.pid, &status, 0) < 0 && errno == EINTR) {
-  }
-  p.alive = false;
-  p.buf.clear();
+  ::kill(pids_[worker], SIGKILL);
+  (void)wait_for(pids_[worker]);
 }
+
+// --- ShmLocalTransport ------------------------------------------------------
 
 std::size_t arena_segment_bytes(std::size_t lease_items) {
   // Base covers the report frame and metadata; the per-item budget is a
@@ -468,24 +452,23 @@ std::string ShmLocalTransport::lease_token(const Lease& lease) const {
   return "@" + std::to_string(lease.seq);
 }
 
-void ShmLocalTransport::load_report(const Proc& p, const ProtocolMsg& done,
-                                    WorkerEvent& ev) {
-  if (!done.has_handoff)
-    throw OrchestratorError(
-        "DONE is missing the arena (offset, length) handoff");
-  ev.label = arena_.path() + "#seg" + std::to_string(p.lease.seq);
-  try {
-    arena_.check_handoff(p.lease.seq, done.offset, done.length);
-    // Decoding straight from the coordinator's own mapping — the DONE
-    // line on the pipe is the ordering edge, so the worker's writes to
-    // this MAP_SHARED segment are visible here.
-    ev.report = shard_report_from_binary(arena_.data() + done.offset,
-                                         done.length);
-  } catch (const WireError& e) {
-    throw OrchestratorError(ev.label + ": " + e.what());
-  } catch (const ArenaError& e) {
-    throw OrchestratorError(e.what());
-  }
+WorkerSession::HandoffDecoder ShmLocalTransport::handoff_decoder() {
+  return [this](const Lease& lease, const ProtocolMsg& done,
+                WorkerEvent* ev) {
+    ev->label = arena_.path() + "#seg" + std::to_string(lease.seq);
+    try {
+      arena_.check_handoff(lease.seq, done.offset, done.length);
+      // Decoding straight from the coordinator's own mapping — the DONE
+      // frame on the pipe is the ordering edge, so the worker's writes
+      // to this MAP_SHARED segment are visible here.
+      ev->report = shard_report_from_binary(arena_.data() + done.offset,
+                                            done.length);
+    } catch (const WireError& e) {
+      throw OrchestratorError(ev->label + ": " + e.what());
+    } catch (const ArenaError& e) {
+      throw OrchestratorError(e.what());
+    }
+  };
 }
 
 }  // namespace ep::core

@@ -1,29 +1,43 @@
-// LocalProcessTransport: the orchestrator's first Transport — epa_cli
-// worker processes on this machine, pipes as the control wire, files as
-// the data wire.
+// The coordinator's half of the worker protocol, once for every data
+// plane, and the local-process transports built on it.
 //
-// Each spawn() forks one `epa_cli worker PLAN` process with its stdin
-// and stdout connected to the coordinator. The control protocol is the
-// versioned line grammar in core/protocol.hpp (HELLO handshake, LEASE
-// grants, PING heartbeats, STEAL/YIELD work stealing, DONE results) —
-// deliberately shell-debuggable, and byte-identical to what the tcp
-// transport frames over sockets.
+// WorkerSession is one worker on the far side of a framed fd pair
+// (core/protocol.hpp framing): a fork/exec worker's stdin/stdout pipes,
+// or a dialed-in worker's socket passed as both ends. It reassembles
+// frames, gates on the HELLO handshake, turns PING/YIELD/DONE into typed
+// WorkerEvents, checks every DONE against the lease it granted, picks up
+// the lease report — the binary frame right after DONE, or the shm
+// plane's (offset, length) arena handoff — and records BYE.
 //
-// The worker parses the plan and re-freezes the COW prototype once at
-// startup, then drains leases until told to stop; it writes each lease's
-// ShardReport atomically to the LEASE-named target *before* printing
-// DONE, so a DONE line always names a readable, complete report. Worker
-// stderr is inherited (progress and diagnostics pass through); stdout
-// carries protocol lines only, starting with `HELLO 3`.
+// FramedTransport is a Transport over a fleet of sessions: LEASE, STEAL,
+// FEEDBACK and EXIT go out as frames, and wait_any() is the one poll loop
+// over every session's read end. A subclass says only how a worker's fds
+// are obtained (spawn), how a closed worker's death is classified
+// (reap), and — the shm plane — what a LEASE target names and how a DONE
+// handoff decodes. net::TcpTransport (net/transport_tcp.hpp) is the
+// remote subclass; the two here fork/exec `epa_cli worker` on this
+// machine:
 //
-// Exit statuses mirror run-shard: 0 clean, 1 failure, 4 preempted
-// (SIGTERM — the worker finishes its in-flight lease, then refuses the
-// next one). wait_any() classifies a death into a typed event: exit 0 is
+//   LocalProcessTransport  the pipe plane: the plan travels as a file,
+//                          each lease report returns as the binary frame
+//                          after DONE on the worker's stdout.
+//   ShmLocalTransport      the shm plane: the plan and the lease reports
+//                          live in an mmap'd arena (core/arena.hpp); DONE
+//                          names the report's (offset, length).
+//
+// Worker stderr is inherited (progress and diagnostics pass through);
+// stdout carries frames only, starting with `HELLO 3`. Exit statuses
+// mirror run-shard: 0 clean, 1 failure, 4 preempted (SIGTERM — the
+// worker finishes its in-flight lease, then refuses the next one). A
+// local worker's death is classified from its wait(2) status: exit 0 is
 // `exited`, exit 4 and the preemption signals are `preempted` (re-lease
-// and replace), anything else is `died` (would only fail again).
+// and replace), anything else is `died` (would only fail again). The
+// worker's BYE is recorded but not needed here.
 #pragma once
 
 #include <cstddef>
+#include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 #include <sys/types.h>
@@ -35,18 +49,118 @@
 
 namespace ep::core {
 
+/// The event a worker's exit status means: 0 `exited`, 4 `preempted`,
+/// anything else `died` — whether the status came from wait(2) or BYE.
+WorkerEvent exit_event(std::size_t worker, int status);
+
+/// One worker's protocol session on the coordinator. Owns its fds.
+class WorkerSession {
+ public:
+  /// Decodes a DONE's arena (offset, length) handoff into ev->report and
+  /// ev->label, throwing OrchestratorError on a bad handoff. Empty on the
+  /// planes whose reports ride back as the frame after DONE.
+  using HandoffDecoder = std::function<void(
+      const Lease& lease, const ProtocolMsg& done, WorkerEvent* ev)>;
+
+  /// `in_fd` is the worker's input (we write), `out_fd` its output (we
+  /// read); a socket is passed as both and closed once.
+  WorkerSession(std::size_t id, int in_fd, int out_fd,
+                HandoffDecoder handoff = {});
+  ~WorkerSession();
+  WorkerSession(const WorkerSession&) = delete;
+  WorkerSession& operator=(const WorkerSession&) = delete;
+
+  std::size_t id() const { return id_; }
+  /// False once close()d — the worker is gone from the fleet.
+  bool open() const { return out_fd_ >= 0; }
+  int read_fd() const { return out_fd_; }
+  bool saw_eof() const { return saw_eof_; }
+  bool said_bye() const { return said_bye_; }
+  int bye_status() const { return bye_status_; }
+
+  /// One frame to the worker, best effort: false on a dead peer or a
+  /// closed write end — the death surfaces on the read side.
+  bool send(const std::string& payload);
+  /// LEASE `lease` with report target `target`; the lease is remembered
+  /// so YIELD and DONE can be checked against it.
+  void grant(const Lease& lease, const std::string& target);
+  /// EXIT, then close the write end when it is its own fd (a pipe): EOF
+  /// ends the worker loop even if EXIT was lost to a half-dead worker. A
+  /// socket stays open — the BYE still has to arrive.
+  void shutdown();
+  /// Close both ends. No further events.
+  void close();
+
+  /// Block up to `timeout_ms` for the worker's first frame and pass it
+  /// through the HELLO gate — the tcp handshake, completed before the
+  /// plan ships. False when the worker hung up or stayed silent; throws
+  /// OrchestratorError when it opened with anything but a matching HELLO.
+  bool handshake(long timeout_ms);
+  /// One read() of what poll() reported readable; EOF or a read error
+  /// sets saw_eof().
+  void pump();
+  /// The next event in the buffered frames, or nullopt when more bytes
+  /// are needed. Throws OrchestratorError on a protocol violation.
+  std::optional<WorkerEvent> next_event();
+
+ private:
+  std::optional<WorkerEvent> on_frame(const std::string& frame);
+  [[noreturn]] void fail(const std::string& why) const;
+
+  std::size_t id_;
+  int in_fd_;
+  int out_fd_;
+  HandoffDecoder handoff_;
+  FrameBuffer frames_;
+  bool saw_eof_ = false;
+  bool said_hello_ = false;
+  bool said_bye_ = false;
+  int bye_status_ = 0;
+  bool has_lease_ = false;
+  bool awaiting_report_ = false;  // DONE seen; the next frame is the report
+  Lease lease_;  // shrinks in place when the worker YIELDs a tail
+};
+
+/// A Transport over framed worker sessions; see the file comment.
+class FramedTransport : public Transport {
+ public:
+  void submit(std::size_t worker, const Lease& lease) override;
+  void steal(std::size_t worker) override;
+  /// FEEDBACK to the worker — the search plane's item append; the item
+  /// spec rides as one token (wire.hpp's feedback_spec()).
+  void feedback(std::size_t worker, const InjectionPlan& plan,
+                std::size_t begin, std::size_t end) override;
+  std::optional<WorkerEvent> wait_any(long timeout_ms) override;
+  void shutdown(std::size_t worker) override;
+
+ protected:
+  /// Start a session on a connected worker's fds; its id is the next
+  /// worker id.
+  WorkerSession& adopt(int in_fd, int out_fd);
+  /// The session behind `worker`; throws naming `op` when there is none.
+  WorkerSession& session(std::size_t worker, const char* op);
+  /// The report target of a LEASE. Base: `-`, the report returns as the
+  /// frame after DONE.
+  virtual std::string lease_token(const Lease& lease) const;
+  /// How a DONE handoff decodes. Base: none — reports return as frames.
+  virtual WorkerSession::HandoffDecoder handoff_decoder();
+  /// `worker`'s read end hit EOF and its buffered frames are delivered:
+  /// release it and classify the death.
+  virtual WorkerEvent reap(std::size_t worker) = 0;
+
+  std::deque<WorkerSession> sessions_;
+};
+
 struct LocalProcessConfig {
   /// The worker binary — normally the running epa_cli itself
   /// (self_exe()).
   std::string epa_cli;
-  /// Serialized plan every worker parses once at startup (JSON data
+  /// Serialized plan every worker parses once at startup (pipe data
   /// plane; the shm transport ships the plan inside its arena instead).
   std::string plan_path;
-  /// Directory lease report files (and the shm transport's arena file)
-  /// are written to.
+  /// Directory the shm transport's arena file is created in.
   std::string out_dir;
-  /// Lease files are named <file_prefix>.lease<seq>.json; the shm
-  /// transport's arena is <file_prefix>.arena.
+  /// The shm transport's arena is <out_dir>/<file_prefix>.arena.
   std::string file_prefix = "plan";
   /// --jobs forwarded to each worker.
   int jobs = 1;
@@ -61,10 +175,10 @@ struct LocalProcessConfig {
   /// CI determinism hook for the kill-and-re-lease path.
   long long preempt_after = 0;
   /// --checkpoint forwarded when > 0: workers drain leases in chunks of
-  /// K items, flush a valid partial report after each chunk (so a
-  /// preemption mid-lease leaves a re-leasable partial behind), send a
-  /// PING heartbeat, and poll for STEAL — checkpointing is what makes
-  /// the deadman and work stealing live.
+  /// K items, send a PING heartbeat after each chunk (the shm plane also
+  /// flushes a valid partial report into the lease's segment), and poll
+  /// for STEAL — checkpointing is what makes the deadman and work
+  /// stealing live.
   long long checkpoint = 0;
   /// --drain-delay-ms forwarded when > 0: each worker sleeps this long
   /// before every checkpoint chunk. A testing hook that manufactures
@@ -76,11 +190,9 @@ struct LocalProcessConfig {
   std::string scenario_file;
 };
 
-/// The JSON-pipe data plane. Subclasses swap the data plane (how the
-/// plan reaches workers and how reports come back) by overriding the
-/// protected hooks; the process plumbing — fork/exec, poll, protocol
-/// dispatch, exit-status classification — is shared.
-class LocalProcessTransport : public Transport {
+/// The pipe data plane: `epa_cli worker PLAN` processes forked with
+/// their stdin/stdout as the framed session.
+class LocalProcessTransport : public FramedTransport {
  public:
   explicit LocalProcessTransport(LocalProcessConfig config);
   /// Kills (SIGTERM) and reaps any worker still alive — orchestrate()
@@ -91,16 +203,6 @@ class LocalProcessTransport : public Transport {
   LocalProcessTransport& operator=(const LocalProcessTransport&) = delete;
 
   std::optional<std::size_t> spawn() override;
-  void submit(std::size_t worker, const Lease& lease) override;
-  void steal(std::size_t worker) override;
-  /// FEEDBACK line down the worker's stdin — the search plane's item
-  /// append. Shared by the pipe and shm data planes (both drive workers
-  /// over stdin); the item spec rides as one token (wire.hpp's
-  /// feedback_spec()).
-  void feedback(std::size_t worker, const InjectionPlan& plan,
-                std::size_t begin, std::size_t end) override;
-  std::optional<WorkerEvent> wait_any(long timeout_ms) override;
-  void shutdown(std::size_t worker) override;
   /// SIGKILL + reap, immediately — the deadman's path for a worker that
   /// is wedged (stopped, not exited) and will never answer SIGTERM.
   void kill(std::size_t worker) override;
@@ -111,52 +213,28 @@ class LocalProcessTransport : public Transport {
   static std::string self_exe(const char* argv0);
 
  protected:
-  struct Proc {
-    pid_t pid = -1;
-    int in_fd = -1;   // worker stdin (coordinator writes)
-    int out_fd = -1;  // worker stdout (coordinator reads)
-    std::string buf;  // partial protocol line
-    bool alive = false;
-    bool saw_eof = false;
-    bool said_hello = false;  // HELLO handshake completed
-    bool has_lease = false;
-    Lease lease;  // shrinks in place when the worker YIELDs a tail
-    std::string lease_token;  // what LEASE named as the report target
-  };
-
   /// Worker argv after the binary path. Base: worker <plan> --jobs N
   /// [...]; the shm transport substitutes --arena for the plan file.
   virtual std::vector<std::string> worker_args() const;
-  /// The report-target token of a LEASE line: a report file path (base)
-  /// or the shm transport's @<seq> segment reference.
-  virtual std::string lease_token(const Lease& lease) const;
-  /// Turn a parsed DONE message into ev.report + ev.label. Base: no
-  /// handoff allowed, the report is read from the lease file. Shm: the
-  /// (offset, length) handoff is decoded from the coordinator's own
-  /// mapping. Throws OrchestratorError/WireError on a broken worker.
-  virtual void load_report(const Proc& p, const ProtocolMsg& done,
-                           WorkerEvent& ev);
   /// Common flags (--jobs, --no-world-cache, --no-redzone,
-  /// --preempt-after, --checkpoint, --drain-delay-ms) every data plane
-  /// forwards.
+  /// --preempt-after, --checkpoint, --drain-delay-ms, --scenario-file)
+  /// every data plane forwards.
   void append_common_args(std::vector<std::string>& args) const;
+  WorkerEvent reap(std::size_t worker) override;
 
   const LocalProcessConfig& config() const { return config_; }
 
  private:
-  WorkerEvent handle_line(std::size_t worker, const std::string& line);
-  WorkerEvent reap(std::size_t worker);
-
   LocalProcessConfig config_;
-  std::vector<Proc> procs_;
+  std::vector<pid_t> pids_;  // by worker id
 };
 
 /// The same-host shared-memory data plane (core/arena.hpp): the binary
 /// plan is frozen into an mmap'd arena once, each lease owns a fixed
 /// arena segment indexed by its seq, workers write binary reports into
 /// their lease's segment directly, and DONE carries only an
-/// (offset, length) handoff — zero parse and zero copy on the
-/// coordinator's hot path, and no JSON anywhere between the processes.
+/// (offset, length) handoff — zero parse and zero copy of the report on
+/// the coordinator's side of the wire.
 class ShmLocalTransport : public LocalProcessTransport {
  public:
   /// `leases` must be the exact partition orchestrate() will schedule
@@ -171,9 +249,10 @@ class ShmLocalTransport : public LocalProcessTransport {
 
  protected:
   std::vector<std::string> worker_args() const override;
+  /// `@<seq>`: the lease's arena segment.
   std::string lease_token(const Lease& lease) const override;
-  void load_report(const Proc& p, const ProtocolMsg& done,
-                   WorkerEvent& ev) override;
+  /// Decodes the report straight out of the coordinator's own mapping.
+  WorkerSession::HandoffDecoder handoff_decoder() override;
 
  private:
   ShmArena arena_;

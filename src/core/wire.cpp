@@ -593,11 +593,9 @@ InjectionPlan plan_from_json(const std::string& text) {
       // absent means 0, and the serializer omits 0, so exhaustive plans
       // round-trip byte-identically.
       if (const JsonValue* param = w.find("param")) {
-        long long v = param->as_int();
-        if (v <= 0)
-          throw WireError("param " + std::to_string(v) +
-                          " must be a positive integer when present");
-        item.param = static_cast<std::uint64_t>(v);
+        item.param = param->as_u64();
+        if (item.param == 0)
+          throw WireError("param 0 must be a positive integer when present");
       }
       plan.items.push_back(item);
     });
@@ -647,8 +645,8 @@ std::string feedback_spec(const InjectionPlan& plan, std::size_t begin,
 namespace {
 
 /// Strict non-negative decimal for feedback-spec fields: digits only, no
-/// sign, no prefix, capped at long long max so every value survives a
-/// JSON round trip (plan params serialize through as_int()).
+/// sign, no prefix, capped at long long max (search params live in
+/// [1, 2^63)).
 unsigned long long parse_spec_number(const std::string& field,
                                      const char* what) {
   if (field.empty())

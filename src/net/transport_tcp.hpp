@@ -1,16 +1,11 @@
-// TcpTransport: the first *remote* data plane — no shared filesystem,
-// no fork. The coordinator listens; workers are started on any host
-// (`epa_cli worker --connect host:port`) and dial in. spawn() adopts a
-// connection from the accept queue, checks the HELLO handshake, and
-// ships the plan down the socket as one binary EPAB frame; lease reports
-// ride back as binary frames. The control protocol is the same
-// versioned line grammar every transport speaks (core/protocol.hpp) —
-// one line per frame instead of one line per '\n'.
-//
-// Framing is the simplest thing that works on a byte stream: a u32
-// little-endian payload length, then the payload. Control frames carry
-// protocol-line text; a DONE control frame is followed immediately by
-// one binary frame holding the lease's ShardReport (EPAB bytes).
+// TcpTransport: the remote data plane — no shared filesystem, no fork.
+// The coordinator listens; workers are started on any host (`epa_cli
+// worker --connect host:port`) and dial in. spawn() adopts a connection
+// from the accept queue, passes its first frame through the HELLO gate,
+// and ships the plan down the socket as one binary EPAB frame. From
+// there the socket is an ordinary framed worker session
+// (core/transport.hpp) — the same frames every data plane speaks, with
+// each lease report riding back as the binary frame after DONE.
 //
 // Death has no exit status here, only silence and resets, so the
 // classification is wire-level: a worker announces its exit with
@@ -25,41 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "core/orchestrator.hpp"
+#include "core/transport.hpp"
 
 namespace ep::net {
-
-/// --- Frame plumbing, shared by coordinator, worker, and bench ---
-
-/// Incremental frame reassembly: feed() raw bytes, pop() complete
-/// payloads. mid_frame() says bytes are buffered but incomplete — how
-/// EOF-mid-frame is told apart from EOF at a boundary.
-class FrameBuffer {
- public:
-  void feed(const char* data, std::size_t n);
-  bool pop(std::string* payload);
-  bool mid_frame() const { return !buf_.empty(); }
-
- private:
-  std::string buf_;
-};
-
-/// Write one length-prefixed frame. Returns false on any write failure
-/// (EPIPE, reset) — like the pipe transport's write_line, the death
-/// story belongs to the read side, not here.
-bool send_frame(int fd, const std::string& payload);
-
-/// Block until one frame is available in `fb` (reading from `fd` as
-/// needed), the peer closes (returns false), or `timeout_ms` passes
-/// (throws; < 0 = wait forever). EOF mid-frame throws — the peer died
-/// mid-sentence.
-bool recv_frame(int fd, FrameBuffer* fb, std::string* payload,
-                long timeout_ms = -1);
-
-/// Drain whatever is readable *right now* into `fb` without blocking —
-/// how a draining worker polls for STEAL between chunks. Returns false
-/// once the peer has closed.
-bool pump_nonblocking(int fd, FrameBuffer* fb);
 
 /// --- Socket plumbing ---
 
@@ -94,7 +57,7 @@ struct TcpTransportConfig {
   long long handshake_timeout_ms = 10000;
 };
 
-class TcpTransport : public core::Transport {
+class TcpTransport : public core::FramedTransport {
  public:
   /// Binds and listens immediately; `plan` is encoded once and shipped
   /// to every worker that completes the handshake.
@@ -107,42 +70,20 @@ class TcpTransport : public core::Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   std::optional<std::size_t> spawn() override;
-  void submit(std::size_t worker, const core::Lease& lease) override;
-  void steal(std::size_t worker) override;
-  /// FEEDBACK as a control frame — same line bytes the pipe transport
-  /// writes, framed like every other control message.
-  void feedback(std::size_t worker, const core::InjectionPlan& plan,
-                std::size_t begin, std::size_t end) override;
-  std::optional<core::WorkerEvent> wait_any(long timeout_ms) override;
-  void shutdown(std::size_t worker) override;
+  /// Closing the socket is all the reach there is across machines.
   void kill(std::size_t worker) override;
 
   int port() const { return port_; }
 
+ protected:
+  core::WorkerEvent reap(std::size_t worker) override;
+
  private:
-  struct Conn {
-    int fd = -1;
-    bool alive = false;
-    bool saw_eof = false;
-    bool said_bye = false;
-    int bye_status = 0;
-    bool has_lease = false;
-    bool awaiting_report = false;  // DONE seen; next frame is the report
-    core::Lease lease;
-    core::WorkerEvent done_ev;  // built from DONE, completed by the frame
-    FrameBuffer frames;
-  };
-
-  std::optional<core::WorkerEvent> handle_frame(std::size_t worker,
-                                                const std::string& frame);
-  core::WorkerEvent reap(std::size_t worker);
-
   TcpTransportConfig config_;
   std::string plan_wire_;  // binary EPAB plan, shipped per worker
   int listen_fd_ = -1;
   int port_ = 0;
   std::size_t accepted_ = 0;
-  std::vector<Conn> conns_;
 };
 
 }  // namespace ep::net

@@ -39,6 +39,14 @@ double JsonValue::as_number() const {
 
 long long JsonValue::as_int() const {
   double n = as_number();
+  if (exact_) {
+    // Magnitudes up to 2^63 fit when negative, up to 2^63 - 1 otherwise.
+    constexpr std::uint64_t kMax = 0x7fffffffffffffffULL;
+    if (magnitude_ > kMax + (negative_ ? 1 : 0))
+      throw JsonError("integer out of range");
+    return negative_ ? static_cast<long long>(0 - magnitude_)
+                     : static_cast<long long>(magnitude_);
+  }
   // Range-check before the cast: double -> long long outside the
   // representable range is UB, and the number came from untrusted input.
   if (n < -9223372036854775808.0 || n >= 9223372036854775808.0)
@@ -47,6 +55,21 @@ long long JsonValue::as_int() const {
   if (static_cast<double>(i) != n)
     throw JsonError("expected integer, got non-integral number");
   return i;
+}
+
+std::uint64_t JsonValue::as_u64() const {
+  double n = as_number();
+  if (exact_) {
+    if (negative_ && magnitude_ != 0)
+      throw JsonError("expected unsigned integer, got negative number");
+    return magnitude_;
+  }
+  if (n < 0.0 || n >= 18446744073709551616.0)
+    throw JsonError("unsigned integer out of range");
+  auto u = static_cast<std::uint64_t>(n);
+  if (static_cast<double>(u) != n)
+    throw JsonError("expected integer, got non-integral number");
+  return u;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -93,6 +116,15 @@ JsonValue JsonValue::make_number(double n) {
   JsonValue v;
   v.type_ = Type::number;
   v.number_ = n;
+  return v;
+}
+
+JsonValue JsonValue::make_integer(std::uint64_t magnitude, bool negative) {
+  JsonValue v = make_number(negative ? -static_cast<double>(magnitude)
+                                     : static_cast<double>(magnitude));
+  v.exact_ = true;
+  v.negative_ = negative;
+  v.magnitude_ = magnitude;
   return v;
 }
 
@@ -367,17 +399,20 @@ class Parser {
         fail("digit expected in exponent");
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
-    // Fast path: wire files are overwhelmingly small integers (ids,
-    // counts, lines); 15 digits always fit a double exactly, so no
-    // strtod round trip (which needs a heap slice for NUL termination).
-    std::size_t digits_at = start + (text_[start] == '-' ? 1 : 0);
-    if (integral && pos_ - digits_at <= 15) {
-      long long v = 0;
-      for (std::size_t i = digits_at; i < pos_; ++i)
-        v = v * 10 + (text_[i] - '0');
-      return JsonValue::make_number(
-          text_[start] == '-' ? -static_cast<double>(v)
-                              : static_cast<double>(v));
+    // Integral literals are kept exactly (seeds and params span all 64
+    // bits, past a double's 53). Only one longer than uint64 falls
+    // through to strtod.
+    if (integral) {
+      const bool negative = text_[start] == '-';
+      std::uint64_t v = 0;
+      bool fits = true;
+      for (std::size_t i = start + (negative ? 1 : 0); i < pos_ && fits;
+           ++i) {
+        const auto digit = static_cast<std::uint64_t>(text_[i] - '0');
+        fits = v <= (UINT64_MAX - digit) / 10;
+        v = v * 10 + digit;
+      }
+      if (fits) return JsonValue::make_integer(v, negative);
     }
     std::string slice(text_.substr(start, pos_ - start));
     errno = 0;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -64,8 +65,13 @@ class JsonValue {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   /// The number as an integer; throws if it has a fractional part or does
-  /// not fit (ids, counts, and indices are integral on the wire).
+  /// not fit (ids, counts, and indices are integral on the wire). An
+  /// integral literal is read exactly — no rounding through a double.
   [[nodiscard]] long long as_int() const;
+  /// The number as an unsigned 64-bit integer, exactly: seeds and
+  /// perturbation params use the whole range. Throws on a negative,
+  /// fractional, or oversized number.
+  [[nodiscard]] std::uint64_t as_u64() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& items() const;  // array
   [[nodiscard]] const Members& members() const;               // object
@@ -79,6 +85,8 @@ class JsonValue {
   static JsonValue make_null() { return JsonValue(); }
   static JsonValue make_bool(bool b);
   static JsonValue make_number(double n);
+  /// An integral literal, kept exactly: `magnitude` with a sign.
+  static JsonValue make_integer(std::uint64_t magnitude, bool negative);
   static JsonValue make_string(std::string s);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(Members members);
@@ -87,6 +95,9 @@ class JsonValue {
   Type type_ = Type::null;
   bool bool_ = false;
   double number_ = 0.0;
+  bool exact_ = false;  // an integral literal: magnitude_ is exact
+  bool negative_ = false;
+  std::uint64_t magnitude_ = 0;
   std::string string_;
   std::vector<JsonValue> items_;
   Members members_;

@@ -1,13 +1,19 @@
-// The worker line protocol (core/protocol.hpp): one grammar, one
-// parser, one formatter set, shared by the pipe, shm, and tcp data
-// planes. The parser is strict — a protocol line is either exactly one
-// production or a rejected worker, never a best-effort guess.
+// The worker protocol (core/protocol.hpp): one grammar, one parser, one
+// formatter set, and one length-prefixed framing, shared by the pipe,
+// shm, and tcp data planes. The parser is strict — a protocol line is
+// either exactly one production or a rejected worker, never a
+// best-effort guess.
 #include "core/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <string>
 #include <vector>
+
+#include "core/orchestrator.hpp"
 
 namespace ep::core {
 namespace {
@@ -138,6 +144,119 @@ TEST(Protocol, VersionConstantIsThree) {
   // constant the HELLO handshake (and docs/WIRE_FORMAT.md) advertise.
   // v3 added FEEDBACK (the search plane's item append).
   EXPECT_EQ(kWorkerProtocolVersion, 3);
+}
+
+TEST(FrameBuffer, ReassemblesFramesFromArbitraryDribbles) {
+  // One frame: length prefix 5, payload "hello", delivered a byte at a
+  // time — pop() must stay false until the last byte lands.
+  std::string wire = {5, 0, 0, 0};
+  wire += "hello";
+  FrameBuffer fb;
+  std::string payload;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    EXPECT_FALSE(fb.pop(&payload)) << "frame complete after " << i;
+    fb.feed(wire.data() + i, 1);
+  }
+  ASSERT_TRUE(fb.pop(&payload));
+  EXPECT_EQ(payload, "hello");
+  EXPECT_FALSE(fb.mid_frame());
+}
+
+TEST(FrameBuffer, PopsBackToBackFramesFromOneFeed) {
+  std::string wire = {2, 0, 0, 0};
+  wire += "ab";
+  wire += std::string{0, 0, 0, 0};  // an empty frame is legal
+  wire += std::string{1, 0, 0, 0};
+  wire += "c";
+  FrameBuffer fb;
+  fb.feed(wire.data(), wire.size());
+  std::string payload;
+  ASSERT_TRUE(fb.pop(&payload));
+  EXPECT_EQ(payload, "ab");
+  ASSERT_TRUE(fb.pop(&payload));
+  EXPECT_EQ(payload, "");
+  ASSERT_TRUE(fb.pop(&payload));
+  EXPECT_EQ(payload, "c");
+  EXPECT_FALSE(fb.pop(&payload));
+}
+
+TEST(FrameBuffer, MidFrameReportsBufferedIncompleteBytes) {
+  std::string wire = {9, 0, 0, 0};
+  wire += "inco";  // 4 of 9 payload bytes
+  FrameBuffer fb;
+  EXPECT_FALSE(fb.mid_frame());
+  fb.feed(wire.data(), wire.size());
+  std::string payload;
+  EXPECT_FALSE(fb.pop(&payload));
+  EXPECT_TRUE(fb.mid_frame());
+}
+
+TEST(FrameBuffer, OversizedLengthPrefixIsCorruptionNotAFrame) {
+  // 0xFFFFFFFF bytes is no real plan or report; waiting for it to
+  // "complete" would hang forever, so the buffer throws immediately.
+  std::string wire = {'\xFF', '\xFF', '\xFF', '\xFF'};
+  FrameBuffer fb;
+  fb.feed(wire.data(), wire.size());
+  std::string payload;
+  EXPECT_THROW((void)fb.pop(&payload), OrchestratorError);
+}
+
+TEST(Frames, SendRecvRoundTripsOverASocketpair) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::string big(100000, 'x');  // bigger than one read() chunk
+  ASSERT_TRUE(send_frame(sv[0], "LEASE 0 4 -"));
+  ASSERT_TRUE(send_frame(sv[0], big));
+  FrameBuffer fb;
+  std::string payload;
+  ASSERT_TRUE(recv_frame(sv[1], &fb, &payload, 1000));
+  EXPECT_EQ(payload, "LEASE 0 4 -");
+  ASSERT_TRUE(recv_frame(sv[1], &fb, &payload, 1000));
+  EXPECT_EQ(payload, big);
+  // Clean EOF at a frame boundary: false, not an error.
+  ::close(sv[0]);
+  EXPECT_FALSE(recv_frame(sv[1], &fb, &payload, 1000));
+  ::close(sv[1]);
+}
+
+TEST(Frames, EofMidFrameThrowsWhereEofAtABoundaryDoesNot) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const char partial[] = {9, 0, 0, 0, 'x'};  // promises 9, delivers 1
+  ASSERT_EQ(::write(sv[0], partial, sizeof partial),
+            static_cast<ssize_t>(sizeof partial));
+  ::close(sv[0]);
+  FrameBuffer fb;
+  std::string payload;
+  EXPECT_THROW((void)recv_frame(sv[1], &fb, &payload, 1000),
+               OrchestratorError);
+  ::close(sv[1]);
+}
+
+TEST(Frames, RecvTimesOutWhenThePeerSaysNothing) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  FrameBuffer fb;
+  std::string payload;
+  EXPECT_THROW((void)recv_frame(sv[1], &fb, &payload, 20),
+               OrchestratorError);
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+TEST(Frames, PumpNonblockingNeverWaitsAndSpotsTheClose) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  FrameBuffer fb;
+  EXPECT_TRUE(pump_nonblocking(sv[1], &fb));  // nothing there: no wait
+  ASSERT_TRUE(send_frame(sv[0], "STEAL"));
+  EXPECT_TRUE(pump_nonblocking(sv[1], &fb));
+  std::string payload;
+  ASSERT_TRUE(fb.pop(&payload));
+  EXPECT_EQ(payload, "STEAL");
+  ::close(sv[0]);
+  EXPECT_FALSE(pump_nonblocking(sv[1], &fb));  // peer gone
+  ::close(sv[1]);
 }
 
 }  // namespace

@@ -220,6 +220,18 @@ TEST(SearchState, ParseRecoversEveryField) {
   }
 }
 
+TEST(SearchState, SixtyFourBitSeedAndParamsRoundTripExactly) {
+  // Seeds span all of uint64 and mutation params [1, 2^63): both past a
+  // double's 53-bit mantissa, so the reader must keep them exact.
+  SearchState st = sample_state(toy_scenario());
+  ASSERT_FALSE(st.items.empty());
+  st.seed = 18446744073709551615ULL;
+  st.items.back().param = 9223372036854775807ULL;
+  SearchState rt = search_state_from_json(search_state_to_json(st));
+  EXPECT_EQ(rt.seed, st.seed);
+  EXPECT_EQ(rt.items.back().param, st.items.back().param);
+}
+
 TEST(SearchState, RejectsForeignAndMalformedDocuments) {
   SearchState st = sample_state(toy_scenario());
   const std::string good = search_state_to_json(st);

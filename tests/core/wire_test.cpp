@@ -72,6 +72,19 @@ TEST(Wire, PlanRoundTripsThroughJson) {
   EXPECT_EQ(parsed.to_json(), json);
 }
 
+TEST(Wire, PlanParamRoundTripsAllSixtyFourBits) {
+  // Search-generated params span [1, 2^63) and the JSON reader keeps
+  // integral literals exact — no rounding through a double.
+  InjectionPlan plan = toy_plan();
+  ASSERT_GE(plan.items.size(), 2u);
+  plan.items[0].param = 9007199254740993ULL;  // 2^53 + 1
+  plan.items[1].param = 18446744073709551615ULL;
+  InjectionPlan parsed = plan_from_json(plan.to_json());
+  EXPECT_EQ(parsed.items[0].param, plan.items[0].param);
+  EXPECT_EQ(parsed.items[1].param, plan.items[1].param);
+  EXPECT_EQ(parsed.to_json(), plan.to_json());
+}
+
 TEST(Wire, RoundTrippedPlanExecutesIdentically) {
   Scenario s = toy_scenario();
   InjectionPlan plan = toy_plan();

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "apps/scenarios.hpp"
 #include "core/planner.hpp"
 #include "core/protocol.hpp"
 #include "core/wire.hpp"
@@ -110,6 +112,20 @@ TEST(WireFormatDoc, LeaseReportExampleRoundTripsVerbatim) {
       << "docs/WIRE_FORMAT.md lease-report example is no longer canonical "
          "serializer output — regenerate it (see the doc's 'Regenerating "
          "the examples' section)";
+
+  // It is also exactly what a worker drains for `LEASE 1 3 -` on the
+  // documented plan (`plan lpr --sites create-tempfile`): the report it
+  // sends as the binary frame after DONE, in its JSON encoding.
+  std::optional<Scenario> lpr = apps::resolve_scenario("lpr");
+  ASSERT_TRUE(lpr.has_value());
+  CampaignOptions opts;
+  opts.only_sites = {"create-tempfile"};
+  const InjectionPlan plan = Planner(*lpr).plan(opts);
+  const std::string drained = run_lease(Executor(*lpr), plan, 1, 3).to_json();
+  EXPECT_EQ(drained, example)
+      << "docs/WIRE_FORMAT.md lease-report example is not what a worker "
+         "drains; the drained report is:\n"
+      << drained;
 }
 
 TEST(WireFormatDoc, RedzoneReportExampleRoundTripsVerbatim) {

@@ -1,14 +1,15 @@
-// TcpTransport (net/transport_tcp.hpp): framing, socket plumbing, and
-// the coordinator's side of the worker protocol, driven from a scripted
-// in-test "worker" on the other end of a loopback socket. Everything is
-// single-threaded: the client pre-writes whatever the transport will
-// want next, so no call here ever blocks on the other side of the test.
-// The real worker binary is exercised by the CLI tcp pipeline tests.
+// TcpTransport (net/transport_tcp.hpp): socket plumbing, the accept +
+// HELLO + plan handshake, and BYE-based death classification, driven
+// from a scripted in-test "worker" on the other end of a loopback
+// socket. Everything is single-threaded: the client pre-writes whatever
+// the transport will want next, so no call here ever blocks on the other
+// side of the test. The session itself is tested over a socketpair in
+// tests/core/worker_session_test.cpp; the real worker binary by the CLI
+// tcp pipeline tests.
 #include "net/transport_tcp.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -23,136 +24,23 @@
 namespace ep::net {
 namespace {
 
-TEST(FrameBuffer, ReassemblesFramesFromArbitraryDribbles) {
-  // One frame: length prefix 5, payload "hello", delivered a byte at a
-  // time — pop() must stay false until the last byte lands.
-  std::string wire = {5, 0, 0, 0};
-  wire += "hello";
-  FrameBuffer fb;
-  std::string payload;
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    EXPECT_FALSE(fb.pop(&payload)) << "frame complete after " << i;
-    fb.feed(wire.data() + i, 1);
-  }
-  ASSERT_TRUE(fb.pop(&payload));
-  EXPECT_EQ(payload, "hello");
-  EXPECT_FALSE(fb.mid_frame());
-}
-
-TEST(FrameBuffer, PopsBackToBackFramesFromOneFeed) {
-  std::string wire = {2, 0, 0, 0};
-  wire += "ab";
-  wire += std::string{0, 0, 0, 0};  // an empty frame is legal
-  wire += std::string{1, 0, 0, 0};
-  wire += "c";
-  FrameBuffer fb;
-  fb.feed(wire.data(), wire.size());
-  std::string payload;
-  ASSERT_TRUE(fb.pop(&payload));
-  EXPECT_EQ(payload, "ab");
-  ASSERT_TRUE(fb.pop(&payload));
-  EXPECT_EQ(payload, "");
-  ASSERT_TRUE(fb.pop(&payload));
-  EXPECT_EQ(payload, "c");
-  EXPECT_FALSE(fb.pop(&payload));
-}
-
-TEST(FrameBuffer, MidFrameReportsBufferedIncompleteBytes) {
-  std::string wire = {9, 0, 0, 0};
-  wire += "inco";  // 4 of 9 payload bytes
-  FrameBuffer fb;
-  EXPECT_FALSE(fb.mid_frame());
-  fb.feed(wire.data(), wire.size());
-  std::string payload;
-  EXPECT_FALSE(fb.pop(&payload));
-  EXPECT_TRUE(fb.mid_frame());
-}
-
-TEST(FrameBuffer, OversizedLengthPrefixIsCorruptionNotAFrame) {
-  // 0xFFFFFFFF bytes is no real plan or report; waiting for it to
-  // "complete" would hang forever, so the buffer throws immediately.
-  std::string wire = {'\xFF', '\xFF', '\xFF', '\xFF'};
-  FrameBuffer fb;
-  fb.feed(wire.data(), wire.size());
-  std::string payload;
-  EXPECT_THROW((void)fb.pop(&payload), core::OrchestratorError);
-}
-
-TEST(Frames, SendRecvRoundTripsOverASocketpair) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  const std::string big(100000, 'x');  // bigger than one read() chunk
-  ASSERT_TRUE(send_frame(sv[0], "LEASE 0 4 -"));
-  ASSERT_TRUE(send_frame(sv[0], big));
-  FrameBuffer fb;
-  std::string payload;
-  ASSERT_TRUE(recv_frame(sv[1], &fb, &payload, 1000));
-  EXPECT_EQ(payload, "LEASE 0 4 -");
-  ASSERT_TRUE(recv_frame(sv[1], &fb, &payload, 1000));
-  EXPECT_EQ(payload, big);
-  // Clean EOF at a frame boundary: false, not an error.
-  ::close(sv[0]);
-  EXPECT_FALSE(recv_frame(sv[1], &fb, &payload, 1000));
-  ::close(sv[1]);
-}
-
-TEST(Frames, EofMidFrameThrowsWhereEofAtABoundaryDoesNot) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  const char partial[] = {9, 0, 0, 0, 'x'};  // promises 9, delivers 1
-  ASSERT_EQ(::write(sv[0], partial, sizeof partial),
-            static_cast<ssize_t>(sizeof partial));
-  ::close(sv[0]);
-  FrameBuffer fb;
-  std::string payload;
-  EXPECT_THROW((void)recv_frame(sv[1], &fb, &payload, 1000),
-               core::OrchestratorError);
-  ::close(sv[1]);
-}
-
-TEST(Frames, RecvTimesOutWhenThePeerSaysNothing) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  FrameBuffer fb;
-  std::string payload;
-  EXPECT_THROW((void)recv_frame(sv[1], &fb, &payload, 20),
-               core::OrchestratorError);
-  ::close(sv[0]);
-  ::close(sv[1]);
-}
-
-TEST(Frames, PumpNonblockingNeverWaitsAndSpotsTheClose) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  FrameBuffer fb;
-  EXPECT_TRUE(pump_nonblocking(sv[1], &fb));  // nothing there: no wait
-  ASSERT_TRUE(send_frame(sv[0], "STEAL"));
-  EXPECT_TRUE(pump_nonblocking(sv[1], &fb));
-  std::string payload;
-  ASSERT_TRUE(fb.pop(&payload));
-  EXPECT_EQ(payload, "STEAL");
-  ::close(sv[0]);
-  EXPECT_FALSE(pump_nonblocking(sv[1], &fb));  // peer gone
-  ::close(sv[1]);
-}
-
 /// The coordinator under test plus one scripted loopback "worker". The
 /// client connects (and usually says HELLO) before spawn() runs, so the
 /// accept + handshake + plan shipment all complete without another
 /// thread; socket buffers hold the small frames both directions.
 struct ScriptedWorker {
   int fd = -1;
-  FrameBuffer fb;
+  core::FrameBuffer fb;
 
   explicit ScriptedWorker(int port) : fd(tcp_connect("127.0.0.1", port)) {}
   ~ScriptedWorker() {
     if (fd >= 0) ::close(fd);
   }
 
-  void say(const std::string& line) { ASSERT_TRUE(send_frame(fd, line)); }
+  void say(const std::string& line) { ASSERT_TRUE(core::send_frame(fd, line)); }
   std::string hear() {
     std::string payload;
-    EXPECT_TRUE(recv_frame(fd, &fb, &payload, 2000));
+    EXPECT_TRUE(core::recv_frame(fd, &fb, &payload, 2000));
     return payload;
   }
   void hang_up() {
@@ -327,7 +215,7 @@ TEST(TcpTransport, KillClosesTheSocketSoTheWorkerSeesEof) {
   (void)worker.hear();
   transport.kill(*w);
   std::string payload;
-  EXPECT_FALSE(recv_frame(worker.fd, &worker.fb, &payload, 2000));
+  EXPECT_FALSE(core::recv_frame(worker.fd, &worker.fb, &payload, 2000));
 }
 
 TEST(TcpTransport, RespawnOnlyPollsAndAdoptsAPreStartedSpare) {

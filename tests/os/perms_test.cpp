@@ -2,6 +2,12 @@
 // full owner/group/other x read/write/exec matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <iterator>
+#include <type_traits>
+#include <vector>
+
 #include "os/vfs.hpp"
 
 namespace ep::os {
@@ -43,12 +49,22 @@ TEST(PermitsWithRoot, RootExecNeedsSomeXBit) {
 
 // ---- Parameterized sweep ----------------------------------------------------
 
+// GTest names each case after the raw bytes of its PermCase (there is no
+// PrintTo for it), so every byte must be defined: `name_tail` fills what
+// would otherwise be padding. Left as padding, those bytes were stack
+// leftovers, some holding part of a heap address that moves with ASLR, and
+// the case names changed from one build to the next. The tails below are
+// the bytes the names were first recorded with, kept so the names do not
+// change.
 struct PermCase {
   unsigned mode;
   int who;  // 0=owner, 1=group, 2=other
   Perm perm;
   bool expect;
+  unsigned char name_tail[3];
 };
+static_assert(std::has_unique_object_representations_v<PermCase>,
+              "PermCase must have no padding: its bytes are its test name");
 
 class PermMatrix : public ::testing::TestWithParam<PermCase> {};
 
@@ -79,9 +95,35 @@ std::vector<PermCase> perm_matrix() {
     for (int who = 0; who < 3; ++who) {
       for (Perm p : {Perm::read, Perm::write, Perm::exec}) {
         bool expect = who == set.who && p == set.perm;
-        cases.push_back({set.mode, who, p, expect});
+        cases.push_back({set.mode, who, p, expect, {0, 0, 0}});
       }
     }
+  }
+  struct Tail {
+    std::size_t index;
+    unsigned char bytes[3];
+  };
+  const Tail tails[] = {
+      {1, {0x55, 0, 0}},        {3, {0x55, 0, 0}},
+      {5, {0x65, 0x64, 0}},     {7, {0x55, 0, 0}},
+      {9, {0x74, 0, 0}},        {11, {0x55, 0, 0}},
+      {15, {0x55, 0, 0}},       {23, {0x55, 0, 0}},
+      {25, {0x70, 0, 0}},       {27, {0x6C, 0x65, 0}},
+      {29, {0x72, 0, 0}},       {35, {0x55, 0, 0}},
+      {39, {0x55, 0, 0}},       {43, {0x55, 0, 0}},
+      {45, {0x55, 0, 0}},       {47, {0x55, 0, 0}},
+      {51, {0x55, 0, 0}},       {53, {0x55, 0, 0}},
+      {54, {0x55, 0, 0}},       {59, {0x55, 0, 0}},
+      {61, {0x55, 0, 0}},       {62, {0x55, 0, 0}},
+      {64, {0x72, 0x79, 0}},    {65, {0x55, 0, 0}},
+      {67, {0x33, 0x32, 0x2F}}, {68, {0x55, 0, 0}},
+      {70, {0x55, 0, 0}},       {71, {0x55, 0, 0}},
+      {73, {0x45, 0x53, 0x0A}}, {75, {0x7F, 0, 0}},
+      {78, {0x65, 0x78, 0x70}}, {79, {0x75, 0x72, 0x65}},
+  };
+  for (const Tail& t : tails) {
+    std::copy(std::begin(t.bytes), std::end(t.bytes),
+              std::begin(cases.at(t.index).name_tail));
   }
   return cases;
 }

@@ -162,5 +162,31 @@ TEST(Json, AsIntRejectsValuesBeyondLongLong) {
   EXPECT_EQ(json_parse("9007199254740992").as_int(), 9007199254740992LL);
 }
 
+TEST(Json, IntegralLiteralsAreExactPastADoublesMantissa) {
+  // 2^53 + 1 and a 63-bit search param round to their neighbours through
+  // a double; integral literals must not.
+  EXPECT_EQ(json_parse("9007199254740993").as_int(), 9007199254740993LL);
+  EXPECT_EQ(json_parse("2940488688193949891").as_int(),
+            2940488688193949891LL);
+  EXPECT_EQ(json_parse("9223372036854775807").as_int(),
+            9223372036854775807LL);
+  EXPECT_EQ(json_parse("-9223372036854775808").as_int(),
+            -9223372036854775807LL - 1);
+  EXPECT_THROW((void)json_parse("9223372036854775808").as_int(), JsonError);
+  EXPECT_THROW((void)json_parse("-9223372036854775809").as_int(), JsonError);
+}
+
+TEST(Json, AsU64CoversTheWholeUnsignedRange) {
+  EXPECT_EQ(json_parse("0").as_u64(), 0u);
+  EXPECT_EQ(json_parse("9007199254740993").as_u64(), 9007199254740993ULL);
+  EXPECT_EQ(json_parse("18446744073709551615").as_u64(),
+            18446744073709551615ULL);
+  EXPECT_EQ(json_parse("1e3").as_u64(), 1000u);
+  EXPECT_THROW((void)json_parse("18446744073709551616").as_u64(), JsonError);
+  EXPECT_THROW((void)json_parse("-1").as_u64(), JsonError);
+  EXPECT_THROW((void)json_parse("1.5").as_u64(), JsonError);
+  EXPECT_THROW((void)json_parse("\"1\"").as_u64(), JsonError);
+}
+
 }  // namespace
 }  // namespace ep

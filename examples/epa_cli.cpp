@@ -52,14 +52,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -132,9 +135,9 @@ int usage() {
       "                --budget N [--seed S] [--batch K] [--jobs N]\n"
       "                [--workers N] [--lease auto|K]\n"
       "                [--data-plane pipe|shm|tcp] [--listen PORT]\n"
-      "                [--port-file FILE] [--state FILE] [--resume]\n"
-      "                [--stop-after W] [--json] [--no-world-cache]\n"
-      "                [--no-redzone]\n"
+      "                [--port-file FILE] [--dir DIR] [--state FILE]\n"
+      "                [--resume] [--stop-after W] [--json]\n"
+      "                [--no-world-cache] [--no-redzone]\n"
       "                (coverage-guided novelty search; docs/SEARCH.md)\n"
       "  epa_cli worker <plan-file>|--arena FILE|--connect HOST:PORT\n"
       "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
@@ -197,64 +200,188 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   }
 }
 
-// --- numeric flag parsing ---------------------------------------------------
-// Every numeric option goes through strtoll/strtod with full validation
-// (the parse_shard_spec style): `--jobs garbage` or a flag with no value
-// must exit 1 with an epa: diagnostic, never silently become 0 (atoi) or
-// fall through to "unknown option".
+// --- the command line -------------------------------------------------------
+// Declarative: one Flag per flag, one Command per subcommand (kCommands,
+// at the end of the file), one parse() for all of them. Exit statuses:
+// 2 for a usage error — an unknown option, a missing or stray operand —
+// with usage() on stdout; 1 for a bad value or a broken cross-flag rule,
+// with one `epa:` line on stderr.
+
+/// A flag's value grammar. Values are validated strictly as they are
+/// parsed: `--jobs garbage` or a flag with no value exits 1 naming the
+/// flag, never silently becomes 0 (atoi) or an "unknown option".
+enum class Grammar {
+  none,       // a switch
+  integer,    // in [min, max]
+  u64,        // an unsigned 64-bit integer
+  unit,       // a real in [0, 1]
+  lease,      // `auto` or an integer in [1, 2^30]
+  plane,      // pipe | shm | tcp
+  host_port,  // HOST:PORT, the port in [1, 65535]
+  text,
+};
+
+/// Where a flag belongs when the command runs a worker fleet.
+enum class Side {
+  local,   // the coordinator's own
+  worker,  // forked workers receive it; on tcp it belongs to the
+           // operator's `epa_cli worker --connect` command line instead
+  both,    // forked workers receive it and the coordinator needs it too
+  fleet,   // names the local fleet's files; meaningless on tcp
+};
+
+struct Flag {
+  const char* name;
+  Grammar grammar = Grammar::none;
+  long long min = 0, max = 0;  // Grammar::integer's range
+  Side side = Side::local;
+};
+
+constexpr long long kMaxCount = 1LL << 30;
+
+// Flags more than one subcommand accepts.
+const Flag kAll{"--all"};
+const Flag kJson{"--json"};
+const Flag kMerge{"--merge"};
+const Flag kSeed{"--seed", Grammar::u64};
+const Flag kSites{"--sites", Grammar::text};
+const Flag kCoverage{"--coverage", Grammar::unit};
+const Flag kOut{"--out", Grammar::text};
+const Flag kFamily{"--family", Grammar::text};
+const Flag kScenarioFile{"--scenario-file", Grammar::text, 0, 0, Side::both};
+const Flag kJobs{"--jobs", Grammar::integer, 1, 4096, Side::worker};
+const Flag kNoWorldCache{"--no-world-cache", Grammar::none, 0, 0,
+                         Side::worker};
+const Flag kNoRedzone{"--no-redzone", Grammar::none, 0, 0, Side::worker};
+const Flag kCheckpoint{"--checkpoint", Grammar::integer, 1, kMaxCount,
+                       Side::worker};
+const Flag kPreemptAfter{"--preempt-after", Grammar::integer, 1, kMaxCount,
+                         Side::worker};
+const Flag kDrainDelay{"--drain-delay-ms", Grammar::integer, 1, 1LL << 20,
+                       Side::worker};
+const Flag kWorkers{"--workers", Grammar::integer, 1, 1024};
+const Flag kLease{"--lease", Grammar::lease};
+const Flag kDataPlane{"--data-plane", Grammar::plane};
+const Flag kListen{"--listen", Grammar::integer, 0, 65535};
+const Flag kPortFile{"--port-file", Grammar::text};
+const Flag kDir{"--dir", Grammar::text, 0, 0, Side::fleet};
+
+/// A cross-flag rule. Its names are flags, the command's operand name
+/// (e.g. "<scenario>"), or "--data-plane=tcp" (given with that value).
+struct Rule {
+  enum Kind {
+    needs,        // each given `flags` entry needs one of `others`; with
+                  // no `flags`, the command always does
+    excludes,     // each given `flags` entry excludes all of `others`
+    one_of,       // exactly one of `flags`; none is a usage error
+    worker_side,  // once any of `others` is given, every worker- or
+                  // fleet-side flag is an error
+  } kind;
+  std::vector<const char*> flags, others;
+  /// The diagnostic; `%s` names the offending flag. Null: usage, exit 2.
+  const char* message = nullptr;
+};
+
+struct Args;
+
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  const char* operand;  // how rules name the operands
+  std::size_t min_operands, max_operands;
+  std::vector<Flag> flags;
+  std::vector<Rule> rules;
+};
+
+/// One parsed command line.
+struct Args {
+  const Command* cmd = nullptr;
+  const char* argv0 = nullptr;
+  std::vector<std::string> operands;
+  std::map<std::string, std::string> values;  // last value; "" = switch
+  /// The tokens of every flag forked workers receive, in command-line
+  /// order (LocalProcessConfig::worker_flags).
+  std::vector<std::string> worker_flags;
+
+  /// A flag, operand or "--flag=value" name is given.
+  bool has(const std::string& name) const;
+  std::string text(const std::string& flag,
+                   const std::string& fallback = "") const {
+    return has(flag) ? values.at(flag) : fallback;
+  }
+  /// An integer flag's value (validated at parse time).
+  long long num(const std::string& flag, long long fallback) const {
+    return has(flag) ? std::strtoll(values.at(flag).c_str(), nullptr, 10)
+                     : fallback;
+  }
+};
 
 [[noreturn]] void flag_fail(const std::string& flag, const std::string& why) {
   std::fprintf(stderr, "epa: %s %s\n", flag.c_str(), why.c_str());
   std::exit(1);
 }
 
-/// The value argv slot of `flag`, advancing *i past it.
-const char* flag_value(const std::string& flag, int argc, char** argv,
-                       int* i) {
-  if (*i + 1 >= argc) flag_fail(flag, "requires a value");
-  return argv[++*i];
-}
-
-long long int_flag(const std::string& flag, int argc, char** argv, int* i,
-                   long long min, long long max) {
-  const char* text = flag_value(flag, argc, argv, i);
+/// Exits 1 naming the flag when `v` is outside its grammar.
+void check_value(const Flag& f, const std::string& v) {
+  const std::string flag = f.name;
   errno = 0;
   char* end = nullptr;
-  long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0')
-    flag_fail(flag, "value '" + std::string(text) +
-                        "' is not an integer");
-  if (errno == ERANGE || v < min || v > max)
-    flag_fail(flag, "value " + std::string(text) + " out of range [" +
-                        std::to_string(min) + ", " + std::to_string(max) +
-                        "]");
-  return v;
-}
-
-std::uint64_t uint64_flag(const std::string& flag, int argc, char** argv,
-                          int* i) {
-  const char* text = flag_value(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0' || text[0] == '-')
-    flag_fail(flag, "value '" + std::string(text) +
-                        "' is not an unsigned integer");
-  return static_cast<std::uint64_t>(v);
-}
-
-double unit_interval_flag(const std::string& flag, int argc, char** argv,
-                          int* i) {
-  const char* text = flag_value(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0')
-    flag_fail(flag, "value '" + std::string(text) + "' is not a number");
-  if (!(v >= 0.0 && v <= 1.0))
-    flag_fail(flag, "value " + std::string(text) +
-                        " out of range [0, 1]");
-  return v;
+  switch (f.grammar) {
+    case Grammar::integer: {
+      long long n = std::strtoll(v.c_str(), &end, 10);
+      if (end == v.c_str() || *end != '\0')
+        flag_fail(flag, "value '" + v + "' is not an integer");
+      if (errno == ERANGE || n < f.min || n > f.max)
+        flag_fail(flag, "value " + v + " out of range [" +
+                            std::to_string(f.min) + ", " +
+                            std::to_string(f.max) + "]");
+      return;
+    }
+    case Grammar::u64:
+      (void)std::strtoull(v.c_str(), &end, 10);
+      if (errno == ERANGE || end == v.c_str() || *end != '\0' || v[0] == '-')
+        flag_fail(flag, "value '" + v + "' is not an unsigned integer");
+      return;
+    case Grammar::unit: {
+      double d = std::strtod(v.c_str(), &end);
+      if (errno == ERANGE || end == v.c_str() || *end != '\0')
+        flag_fail(flag, "value '" + v + "' is not a number");
+      if (!(d >= 0.0 && d <= 1.0))
+        flag_fail(flag, "value " + v + " out of range [0, 1]");
+      return;
+    }
+    case Grammar::lease: {
+      if (v == "auto") return;
+      long long k = std::strtoll(v.c_str(), &end, 10);
+      if (errno == ERANGE || end == v.c_str() || *end != '\0')
+        flag_fail(flag, "value '" + v + "' is not an integer or 'auto'");
+      if (k < 1 || k > kMaxCount)
+        flag_fail(flag, "value " + v + " out of range [1, " +
+                            std::to_string(kMaxCount) + "]");
+      return;
+    }
+    case Grammar::plane:
+      if (v != "pipe" && v != "shm" && v != "tcp")
+        flag_fail(flag, "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+      return;
+    case Grammar::host_port: {
+      // Split on the *last* colon; the port gets the strict strtoll
+      // validation every numeric flag gets.
+      auto colon = v.rfind(':');
+      if (colon == std::string::npos || colon == 0 || colon + 1 == v.size())
+        flag_fail(flag, "value '" + v + "' is not HOST:PORT");
+      const char* port = v.c_str() + colon + 1;
+      long long p = std::strtoll(port, &end, 10);
+      if (errno == ERANGE || end == port || *end != '\0' || p < 1 ||
+          p > 65535)
+        flag_fail(flag, "port '" + v.substr(colon + 1) +
+                            "' is not in [1, 65535]");
+      return;
+    }
+    case Grammar::none:
+    case Grammar::text:
+      return;
+  }
 }
 
 /// "K/N" with 1 <= K <= N (1-based on the command line, 0-based inside).
@@ -298,21 +425,30 @@ core::ShardReport load_shard_report(const std::string& path) {
   }
 }
 
-/// Name resolution covers the packaged suite, the unlisted redzone-demo,
-/// and every generated family member (apps::resolve_scenario).
-core::Scenario find_scenario(const std::string& name, bool& found) {
-  auto s = apps::resolve_scenario(name);
-  found = s.has_value();
-  return found ? std::move(*s) : core::Scenario{};
-}
-
-/// The unknown-scenario exit path: name what was asked for, then the
+/// The unknown-scenario diagnostic: name what was asked for, then the
 /// full inventory — packaged names, redzone-demo, family patterns — so
 /// a typo'd generated name is diagnosable without a second command.
-int unknown_scenario(const std::string& name) {
+void report_unknown_scenario(const std::string& name) {
   std::fprintf(stderr, "epa: unknown scenario '%s'\nepa: %s\n", name.c_str(),
                apps::scenario_names_hint().c_str());
-  return 1;
+}
+
+/// Name resolution covers the packaged suite, the unlisted redzone-demo,
+/// and every generated family member (apps::resolve_scenario). Empty
+/// after the unknown-scenario diagnostic.
+std::optional<core::Scenario> scenario_named(const std::string& name) {
+  auto s = apps::resolve_scenario(name);
+  if (!s) report_unknown_scenario(name);
+  return s;
+}
+
+/// A family by name; null after the unknown-family diagnostic.
+const core::ScenarioFamily* family_named(const std::string& name) {
+  const core::ScenarioFamily* fam = apps::find_family(name);
+  if (!fam)
+    std::fprintf(stderr, "epa: unknown family '%s'\nepa: %s\n", name.c_str(),
+                 apps::scenario_names_hint().c_str());
+  return fam;
 }
 
 /// Compile a declarative spec file (docs/SCENARIO_AUTHORING.md) against
@@ -343,18 +479,69 @@ core::Scenario plan_scenario(const core::InjectionPlan& plan,
                                "'");
     return s;
   }
-  bool found = false;
-  core::Scenario s = find_scenario(plan.scenario_name, found);
-  if (!found)
+  auto s = apps::resolve_scenario(plan.scenario_name);
+  if (!s)
     throw std::runtime_error(
         plan_src + ": plan names unknown scenario '" + plan.scenario_name +
         "' (written by a different scenario set? pass its spec with "
         "--scenario-file); " +
         apps::scenario_names_hint());
-  return s;
+  return std::move(*s);
 }
 
-int cmd_list() {
+/// The scenarios a command line selects: --family F's members, a
+/// --scenario-file spec, the <scenario> operand, or — with --all, or a
+/// sweep given no source — the packaged suite. Empty after an
+/// unknown-family or unknown-scenario diagnostic.
+std::vector<core::Scenario> select_scenarios(const Args& a) {
+  std::vector<core::Scenario> out;
+  if (a.has("--family")) {
+    if (const core::ScenarioFamily* fam = family_named(a.text("--family")))
+      out = apps::family_scenarios(*fam);
+  } else if (a.has("--scenario-file")) {
+    out.push_back(scenario_from_file(a.text("--scenario-file")));
+  } else if (!a.operands.empty()) {
+    if (auto s = scenario_named(a.operands[0])) out.push_back(std::move(*s));
+  } else {
+    out = apps::all_scenarios();
+  }
+  return out;
+}
+
+/// The campaign options a command line sets; the job count is left to
+/// the caller (a campaign drains with it, a sweep shares it).
+core::CampaignOptions campaign_options(const Args& a) {
+  core::CampaignOptions o;
+  if (a.has("--sites")) o.only_sites = split(a.text("--sites"), ',');
+  if (a.has("--coverage"))
+    o.target_interaction_coverage =
+        std::strtod(a.text("--coverage").c_str(), nullptr);
+  if (a.has("--seed"))
+    o.seed = std::strtoull(a.text("--seed").c_str(), nullptr, 10);
+  o.merge_equivalent_sites = a.has("--merge");
+  o.use_world_cache = !a.has("--no-world-cache");
+  o.use_redzone = !a.has("--no-redzone");
+  return o;
+}
+
+core::ExecutorOptions executor_options(const Args& a) {
+  core::ExecutorOptions o;
+  o.jobs = static_cast<int>(a.num("--jobs", 1));
+  o.use_world_cache = !a.has("--no-world-cache");
+  o.use_redzone = !a.has("--no-redzone");
+  return o;
+}
+
+/// Render one campaign's report (or JSON) and return the `run` exit
+/// contract: 0 clean, 3 candidate vulnerabilities.
+int print_result(const core::CampaignResult& r, bool as_json) {
+  std::printf("%s",
+              (as_json ? core::render_json(r) : core::render_report(r))
+                  .c_str());
+  return r.exploitable().empty() ? 0 : 3;
+}
+
+int cmd_list(const Args&) {
   TextTable t({"scenario", "description"});
   for (const auto& s : apps::all_scenarios())
     t.add_row({s.name, s.description});
@@ -366,25 +553,24 @@ int cmd_list() {
 /// unlisted redzone-demo, and the generated families. With --family F the
 /// listing expands to F's members — every name `run`, `plan`, `sweep`,
 /// and `orchestrate` will accept.
-int cmd_scenarios(const std::string& family_name,
-                  const std::string& spec_name, bool as_json) {
-  if (!spec_name.empty()) {
+int cmd_scenarios(const Args& a) {
+  const bool as_json = a.has("--json");
+  if (a.has("--spec")) {
     // Canonical serializer output — exactly what --scenario-file parses
     // back, so this doubles as the authoring template.
-    auto spec = apps::resolve_spec(spec_name);
-    if (!spec) return unknown_scenario(spec_name);
+    const std::string name = a.text("--spec");
+    auto spec = apps::resolve_spec(name);
+    if (!spec) {
+      report_unknown_scenario(name);
+      return 1;
+    }
     std::string json = core::spec_to_json(*spec);
     std::fwrite(json.data(), 1, json.size(), stdout);
     return 0;
   }
-  if (!family_name.empty()) {
-    const core::ScenarioFamily* fam = apps::find_family(family_name);
-    if (!fam) {
-      std::fprintf(stderr, "epa: unknown family '%s'\nepa: %s\n",
-                   family_name.c_str(),
-                   apps::scenario_names_hint().c_str());
-      return 1;
-    }
+  if (a.has("--family")) {
+    const core::ScenarioFamily* fam = family_named(a.text("--family"));
+    if (!fam) return 1;
     auto specs = core::expand_family(*fam);
     if (as_json) {
       std::printf("{\n\"family\": %s,\n\"members\": [\n",
@@ -447,9 +633,9 @@ int cmd_scenarios(const std::string& family_name,
   TextTable ft({"family", "members", "axes", "description"});
   for (const auto& f : apps::scenario_families()) {
     std::string axes;
-    for (const auto& a : f.axes) {
+    for (const auto& axis : f.axes) {
       if (!axes.empty()) axes += " x ";
-      axes += a.name + "(" + std::to_string(a.values.size()) + ")";
+      axes += axis.name + "(" + std::to_string(axis.values.size()) + ")";
     }
     ft.add_row({f.name, std::to_string(core::family_size(f)), axes,
                 f.description});
@@ -459,11 +645,11 @@ int cmd_scenarios(const std::string& family_name,
   return 0;
 }
 
-int cmd_trace(const std::string& name) {
-  bool found = false;
-  core::Scenario scenario = find_scenario(name, found);
-  if (!found) return unknown_scenario(name);
-  core::Campaign campaign(std::move(scenario));
+int cmd_trace(const Args& a) {
+  const std::string& name = a.operands[0];
+  auto scenario = scenario_named(name);
+  if (!scenario) return 1;
+  core::Campaign campaign(std::move(*scenario));
   core::CampaignOptions opts;
   opts.only_sites = {"--none--"};  // discovery only
   auto r = campaign.execute(opts);
@@ -481,33 +667,23 @@ int cmd_trace(const std::string& name) {
   return 0;
 }
 
-int cmd_run(const std::string& name, const std::string& scenario_file,
-            const core::CampaignOptions& opts, bool as_json) {
-  core::Scenario scenario;
-  if (!scenario_file.empty()) {
-    scenario = scenario_from_file(scenario_file);
-  } else {
-    bool found = false;
-    scenario = find_scenario(name, found);
-    if (!found) return unknown_scenario(name);
-  }
-  core::Campaign campaign(std::move(scenario));
-  auto r = campaign.execute(opts);
-  std::printf("%s", (as_json ? core::render_json(r)
-                             : core::render_report(r))
-                        .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // 3 = candidate vulnerabilities
+int cmd_run(const Args& a) {
+  std::vector<core::Scenario> scenarios = select_scenarios(a);
+  if (scenarios.empty()) return 1;
+  core::CampaignOptions opts = campaign_options(a);
+  opts.jobs = static_cast<int>(a.num("--jobs", 1));
+  return print_result(
+      core::Campaign(std::move(scenarios.front())).execute(opts),
+      a.has("--json"));
 }
 
-int cmd_compare(const std::string& before_name,
-                const std::string& after_name) {
-  bool found_b = false, found_a = false;
-  core::Scenario before_s = find_scenario(before_name, found_b);
-  core::Scenario after_s = find_scenario(after_name, found_a);
-  if (!found_b || !found_a)
-    return unknown_scenario(found_b ? after_name : before_name);
-  auto before = core::Campaign(std::move(before_s)).execute();
-  auto after = core::Campaign(std::move(after_s)).execute();
+int cmd_compare(const Args& a) {
+  auto before_s = scenario_named(a.operands[0]);
+  if (!before_s) return 1;
+  auto after_s = scenario_named(a.operands[1]);
+  if (!after_s) return 1;
+  auto before = core::Campaign(std::move(*before_s)).execute();
+  auto after = core::Campaign(std::move(*after_s)).execute();
   auto c = core::compare(before, after);
   std::printf("%s", core::render_comparison(c).c_str());
   return c.safe() ? 0 : 3;
@@ -567,33 +743,32 @@ int print_sweep(const core::SweepResult& sweep, bool as_json,
   return sweep.total_exploitable() == 0 ? 0 : 3;
 }
 
-int cmd_sweep(const core::SweepOptions& opts, bool as_json,
-              const std::string& family_name,
-              const std::string& scenario_file) {
+int cmd_sweep(const Args& a) {
+  std::vector<core::Scenario> scenarios = select_scenarios(a);
+  if (scenarios.empty()) return 1;
   core::MultiCampaign suite;
-  bool generated = false;
-  if (!family_name.empty()) {
-    const core::ScenarioFamily* fam = apps::find_family(family_name);
-    if (!fam) {
-      std::fprintf(stderr, "epa: unknown family '%s'\nepa: %s\n",
-                   family_name.c_str(),
-                   apps::scenario_names_hint().c_str());
-      return 1;
-    }
-    for (auto& s : apps::family_scenarios(*fam)) suite.add(std::move(s));
-    generated = true;
-  } else if (!scenario_file.empty()) {
-    suite.add(scenario_from_file(scenario_file));
-    generated = true;
-  } else {
-    for (auto& s : apps::all_scenarios()) suite.add(std::move(s));
-  }
+  for (auto& s : scenarios) suite.add(std::move(s));
+  core::SweepOptions opts;
+  opts.jobs = static_cast<int>(a.num("--jobs", 1));
+  opts.campaign = campaign_options(a);
   // Generated suites carry the adequacy report; the packaged sweep's
   // output is a byte-pinned regression control and stays untouched.
-  return print_sweep(suite.run(opts), as_json, generated);
+  const bool generated = a.has("--family") || a.has("--scenario-file");
+  return print_sweep(suite.run(opts), a.has("--json"), generated);
 }
 
-int cmd_db(const std::string& filter) {
+int cmd_db(const Args& a) {
+  const std::string filter = a.operands.empty() ? "" : a.operands[0];
+  const std::vector<std::string> categories = {"indirect", "direct", "other",
+                                               "excluded"};
+  if (!filter.empty() && std::find(categories.begin(), categories.end(),
+                                   filter) == categories.end()) {
+    std::fprintf(stderr,
+                 "epa: unknown db category '%s' (expected indirect, "
+                 "direct, other, or excluded)\n",
+                 filter.c_str());
+    return 1;
+  }
   const auto& db = vulndb::database();
   TextTable t({"id", "name", "os", "EAI class", "description"});
   int shown = 0;
@@ -610,16 +785,9 @@ int cmd_db(const std::string& filter) {
       case vulndb::EaiClass::other: cls_name = "other"; break;
       default: cls_name = "excluded/" + std::string(to_string(r.cause));
     }
-    bool matches = filter.empty() ||
-                   (filter == "indirect" &&
-                    cls == vulndb::EaiClass::indirect) ||
-                   (filter == "direct" && cls == vulndb::EaiClass::direct) ||
-                   (filter == "other" && cls == vulndb::EaiClass::other) ||
-                   (filter == "excluded" &&
-                    cls != vulndb::EaiClass::indirect &&
-                    cls != vulndb::EaiClass::direct &&
-                    cls != vulndb::EaiClass::other);
-    if (!matches) continue;
+    // The category is the class name up to its '/'.
+    if (!filter.empty() && cls_name.substr(0, cls_name.find('/')) != filter)
+      continue;
     ++shown;
     std::string desc = r.description.size() > 60
                            ? r.description.substr(0, 57) + "..."
@@ -630,42 +798,18 @@ int cmd_db(const std::string& filter) {
   return 0;
 }
 
-int cmd_plan(const std::string& name, const std::string& scenario_file,
-             core::CampaignOptions opts, const std::string& out_path,
-             bool binary) {
-  core::Scenario scenario;
-  if (!scenario_file.empty()) {
-    scenario = scenario_from_file(scenario_file);
-  } else {
-    bool found = false;
-    scenario = find_scenario(name, found);
-    if (!found) return unknown_scenario(name);
-  }
-  // The plan file never carries the world snapshot; don't build one.
-  opts.use_world_cache = false;
-  core::InjectionPlan plan = core::Planner(scenario).plan(opts);
-  std::string wire = binary ? core::plan_to_binary(plan) : plan.to_json();
-  if (out_path.empty()) {
-    // fwrite, not printf: the binary encoding contains NUL bytes.
-    std::fwrite(wire.data(), 1, wire.size(), stdout);
-    return 0;
-  }
-  write_file(out_path, wire);
-  std::printf("%s: %zu interaction points, %zu work items -> %s\n",
-              scenario.name.c_str(), plan.points.size(), plan.items.size(),
-              out_path.c_str());
-  return 0;
-}
-
-int cmd_plan_all(const core::SweepOptions& opts, const std::string& out_dir) {
+int cmd_plan_all(const Args& a) {
   // Create the output directory up front: planning every scenario only
   // to fail on the first write would discard all of that work.
+  const std::string out_dir = a.text("--out-dir", ".");
   if (::mkdir(out_dir.c_str(), 0777) != 0 && errno != EEXIST)
     throw std::runtime_error("cannot create '" + out_dir +
                              "': " + std::strerror(errno));
   core::MultiCampaign suite;
   for (auto& s : apps::all_scenarios()) suite.add(std::move(s));
-  core::SweepOptions plan_opts = opts;
+  core::SweepOptions plan_opts;
+  plan_opts.jobs = static_cast<int>(a.num("--jobs", 1));
+  plan_opts.campaign = campaign_options(a);
   plan_opts.campaign.use_world_cache = false;  // plan files carry no snapshot
   auto plans = suite.plan_all(plan_opts);
   for (const auto& plan : plans) {
@@ -678,6 +822,30 @@ int cmd_plan_all(const core::SweepOptions& opts, const std::string& out_dir) {
   return 0;
 }
 
+int cmd_plan(const Args& a) {
+  if (a.has("--all")) return cmd_plan_all(a);
+  std::vector<core::Scenario> scenarios = select_scenarios(a);
+  if (scenarios.empty()) return 1;
+  const core::Scenario& scenario = scenarios.front();
+  core::CampaignOptions opts = campaign_options(a);
+  // The plan file never carries the world snapshot; don't build one.
+  opts.use_world_cache = false;
+  core::InjectionPlan plan = core::Planner(scenario).plan(opts);
+  const std::string out_path = a.text("--out");
+  std::string wire =
+      a.has("--binary") ? core::plan_to_binary(plan) : plan.to_json();
+  if (out_path.empty()) {
+    // fwrite, not printf: the binary encoding contains NUL bytes.
+    std::fwrite(wire.data(), 1, wire.size(), stdout);
+    return 0;
+  }
+  write_file(out_path, wire);
+  std::printf("%s: %zu interaction points, %zu work items -> %s\n",
+              scenario.name.c_str(), plan.points.size(), plan.items.size(),
+              out_path.c_str());
+  return 0;
+}
+
 /// Set by the SIGTERM handler; run-shard's drain polls it between
 /// checkpoint chunks, flushes the partial report, and exits 4 — a
 /// preempted worker loses at most one chunk, never the shard.
@@ -685,73 +853,61 @@ volatile std::sig_atomic_t g_preempted = 0;
 
 extern "C" void on_sigterm(int) { g_preempted = 1; }
 
-struct RunShardArgs {
-  std::string plan_path;
-  std::string shard_spec;     // --shard K/N
-  std::string resume_path;    // --resume FILE
-  std::string out_path;       // --out FILE
-  std::string scenario_file;  // --scenario-file: spec instead of the name
-  int jobs = 1;
-  bool use_world_cache = true;
-  bool use_redzone = true;        // --no-redzone: disable the memory oracle
-  std::size_t checkpoint = 0;     // --checkpoint K: flush every K outcomes
-  long long preempt_after = 0;    // --preempt-after N: self-SIGTERM (CI)
-};
-
-int cmd_run_shard(RunShardArgs a) {
-  core::InjectionPlan plan = load_plan(a.plan_path);
+int cmd_run_shard(const Args& a) {
+  const std::string& plan_path = a.operands[0];
+  const std::string shard_spec = a.text("--shard");
+  const std::string resume_path = a.text("--resume");
+  const long long checkpoint = a.num("--checkpoint", 0);
+  const long long preempt_after = a.num("--preempt-after", 0);
+  // Completing in place is the natural resume: the partial file becomes
+  // the finished report unless --out redirects it.
+  const std::string out_path = a.text("--out", resume_path);
+  core::InjectionPlan plan = load_plan(plan_path);
 
   std::size_t shard_index = 0, shard_count = 0;
   core::ShardReport partial;
-  const bool resuming = !a.resume_path.empty();
+  const bool resuming = !resume_path.empty();
   if (resuming) {
-    partial = load_shard_report(a.resume_path);
+    partial = load_shard_report(resume_path);
     shard_index = partial.shard_index;
     shard_count = partial.shard_count;
-    if (!a.shard_spec.empty()) {
+    if (!shard_spec.empty()) {
       std::size_t want_index = 0, want_count = 0;
-      parse_shard_spec(a.shard_spec, &want_index, &want_count);
+      parse_shard_spec(shard_spec, &want_index, &want_count);
       if (want_index != shard_index || want_count != shard_count)
         throw std::runtime_error(
-            a.resume_path + ": holds shard " +
+            resume_path + ": holds shard " +
             std::to_string(shard_index + 1) + "/" +
             std::to_string(shard_count) + " but --shard asked for " +
-            a.shard_spec);
+            shard_spec);
     }
-    // Completing in place is the natural resume: the partial file becomes
-    // the finished report unless --out redirects it.
-    if (a.out_path.empty()) a.out_path = a.resume_path;
   } else {
-    parse_shard_spec(a.shard_spec, &shard_index, &shard_count);
+    parse_shard_spec(shard_spec, &shard_index, &shard_count);
   }
 
   core::Scenario scenario =
-      plan_scenario(plan, a.plan_path, a.scenario_file);
+      plan_scenario(plan, plan_path, a.text("--scenario-file"));
+  const core::ExecutorOptions opts = executor_options(a);
   // The wire never carries the snapshot; re-freeze a local prototype so
   // the shard drains through the same COW clone path as a local run.
-  if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
-
+  if (opts.use_world_cache) core::refreeze_snapshot(plan, scenario);
   core::Executor executor(scenario);
-  core::ExecutorOptions opts;
-  opts.jobs = a.jobs;
-  opts.use_world_cache = a.use_world_cache;
-  opts.use_redzone = a.use_redzone;
 
   long long flushes = 0;
   core::ShardDrainHooks hooks;
-  if (a.checkpoint > 0) {
+  if (checkpoint > 0) {
     // Catch SIGTERM only when the drain can actually act on it (the stop
     // flag is polled between checkpoint chunks). Without --checkpoint
     // the drain is one uninterruptible chunk and the default disposition
     // — terminate — is the right behavior, not a swallowed signal.
     std::signal(SIGTERM, on_sigterm);
-    hooks.checkpoint_every = a.checkpoint;
+    hooks.checkpoint_every = static_cast<std::size_t>(checkpoint);
     hooks.interrupted = [] { return g_preempted != 0; };
     hooks.on_checkpoint = [&](const core::ShardReport& r) {
-      write_file_atomic(a.out_path, r.to_json());
+      write_file_atomic(out_path, r.to_json());
       // The CI determinism hook: deliver the preemption signal to
       // ourselves after N flushes, through the real handler.
-      if (a.preempt_after > 0 && ++flushes >= a.preempt_after)
+      if (preempt_after > 0 && ++flushes >= preempt_after)
         (void)std::raise(SIGTERM);
     };
   }
@@ -761,25 +917,27 @@ int cmd_run_shard(RunShardArgs a) {
                : core::run_shard(executor, plan, shard_index, shard_count,
                                  opts, hooks);
   std::string json = report.to_json();
-  if (a.out_path.empty()) {
+  if (out_path.empty()) {
     std::printf("%s", json.c_str());
     return report.complete ? 0 : 4;
   }
-  write_file_atomic(a.out_path, json);
+  write_file_atomic(out_path, json);
   std::printf("%s -> %s\n", core::render_shard_summary(report).c_str(),
-              a.out_path.c_str());
+              out_path.c_str());
   if (!report.complete) {
     std::fprintf(stderr,
                  "epa: preempted; partial report flushed to %s "
                  "(complete it with run-shard --resume)\n",
-                 a.out_path.c_str());
+                 out_path.c_str());
     return 4;  // 4 = preempted, valid partial report on disk
   }
   return 0;
 }
 
-int cmd_merge(const std::string& plan_path,
-              const std::vector<std::string>& shard_paths, bool as_json) {
+int cmd_merge(const Args& a) {
+  const std::string& plan_path = a.operands[0];
+  const std::vector<std::string> shard_paths(a.operands.begin() + 1,
+                                             a.operands.end());
   core::InjectionPlan plan = load_plan(plan_path);
   std::vector<core::ShardReport> shards;
   shards.reserve(shard_paths.size());
@@ -788,12 +946,8 @@ int cmd_merge(const std::string& plan_path,
   // shard, partial file, foreign plan) also name the offending file.
   for (const auto& path : shard_paths)
     shards.push_back(load_shard_report(path));
-  core::CampaignResult r = core::merge_shard_reports(plan, shards,
-                                                     shard_paths);
-  std::printf("%s", (as_json ? core::render_json(r)
-                             : core::render_report(r))
-                        .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // same contract as `run`
+  return print_result(core::merge_shard_reports(plan, shards, shard_paths),
+                      a.has("--json"));
 }
 
 // --- orchestrated execution (core/orchestrator.hpp) -------------------------
@@ -831,23 +985,6 @@ class FrameChannel {
   bool eof_ = false;
 };
 
-struct WorkerArgs {
-  std::string plan_path;
-  std::string arena_path;        // --arena: shm data plane (binary plan +
-                                 // per-lease report segments)
-  std::string connect_host;      // --connect: tcp data plane
-  std::string scenario_file;     // --scenario-file: spec instead of the
-                                 // plan's scenario name
-  int connect_port = 0;
-  int jobs = 1;
-  bool use_world_cache = true;
-  bool use_redzone = true;       // --no-redzone: disable the memory oracle
-  long long preempt_after = 0;   // self-preempt after N leases, or — with
-                                 // --checkpoint — after N flushes (CI hook)
-  std::size_t checkpoint = 0;    // flush partials every K outcomes
-  long long drain_delay_ms = 0;  // sleep before each chunk (straggler hook)
-};
-
 /// The worker's protocol version for HELLO. EPA_WORKER_PROTOCOL overrides
 /// it — the test hook that manufactures an old fleet so the handshake
 /// rejection path is exercised on every data plane.
@@ -865,13 +1002,18 @@ long long worker_protocol_version() {
 /// Everything a worker does after HELLO: load the plan, freeze the
 /// prototype, serve leases. Returns the exit status; `*done` counts the
 /// leases served.
-int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
-  const bool use_tcp = !a.connect_host.empty();
+int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
+  // --preempt-after self-preempts after N leases, or — with --checkpoint
+  // — after N flushes (the CI hook); --drain-delay-ms sleeps before each
+  // checkpoint chunk (the straggler hook).
+  const long long checkpoint = a.num("--checkpoint", 0);
+  const long long preempt_after = a.num("--preempt-after", 0);
+  const long long drain_delay_ms = a.num("--drain-delay-ms", 0);
   std::optional<core::ShmArena> arena;
   core::InjectionPlan plan;
   std::string plan_src;
-  if (use_tcp) {
-    plan_src = a.connect_host + ":" + std::to_string(a.connect_port);
+  if (a.has("--connect")) {
+    plan_src = a.text("--connect");
     std::string frame;
     if (!chan.recv(&frame))
       throw std::runtime_error(
@@ -882,25 +1024,23 @@ int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
     } catch (const core::WireError& e) {
       throw std::runtime_error(plan_src + ": " + e.what());
     }
-  } else if (!a.arena_path.empty()) {
-    arena.emplace(core::ShmArena::open(a.arena_path));
+  } else if (a.has("--arena")) {
+    plan_src = a.text("--arena");
+    arena.emplace(core::ShmArena::open(plan_src));
     try {
       plan = core::plan_from_binary(arena->plan_data(), arena->plan_size());
     } catch (const core::WireError& e) {
-      throw std::runtime_error(a.arena_path + ": " + e.what());
+      throw std::runtime_error(plan_src + ": " + e.what());
     }
-    plan_src = a.arena_path;
   } else {
-    plan = load_plan(a.plan_path);
-    plan_src = a.plan_path;
+    plan_src = a.operands[0];
+    plan = load_plan(plan_src);
   }
-  core::Scenario scenario = plan_scenario(plan, plan_src, a.scenario_file);
-  if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
+  core::Scenario scenario =
+      plan_scenario(plan, plan_src, a.text("--scenario-file"));
+  const core::ExecutorOptions opts = executor_options(a);
+  if (opts.use_world_cache) core::refreeze_snapshot(plan, scenario);
   core::Executor executor(scenario);
-  core::ExecutorOptions opts;
-  opts.jobs = a.jobs;
-  opts.use_world_cache = a.use_world_cache;
-  opts.use_redzone = a.use_redzone;
   std::signal(SIGTERM, on_sigterm);
   // One line per process by design: the ctest worker-protocol check
   // counts these to pin "parse + re-freeze happen once, not per lease".
@@ -954,7 +1094,7 @@ int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
       // A search plan can start empty (every item arrives as
       // feedback); the prototype freeze was a no-op then, so pay it on
       // the first append instead.
-      if (a.use_world_cache) core::refreeze_snapshot(plan, scenario);
+      if (opts.use_world_cache) core::refreeze_snapshot(plan, scenario);
       continue;
     }
     if (msg.type != core::ProtocolMsg::Type::lease) {
@@ -1012,14 +1152,14 @@ int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
     bool steal_requested = false;
     std::size_t chunks = 0;
     core::ShardDrainHooks hooks;
-    if (a.checkpoint > 0) {
-      hooks.checkpoint_every = a.checkpoint;
+    if (checkpoint > 0) {
+      hooks.checkpoint_every = static_cast<std::size_t>(checkpoint);
       hooks.interrupted = [&] {
         // The straggler hook: slow every chunk down so CI can force a
         // lease split deterministically.
-        if (a.drain_delay_ms > 0)
+        if (drain_delay_ms > 0)
           std::this_thread::sleep_for(
-              std::chrono::milliseconds(a.drain_delay_ms));
+              std::chrono::milliseconds(drain_delay_ms));
         if (g_preempted) return true;
         std::string in;
         while (chan.poll(&in)) {
@@ -1041,7 +1181,7 @@ int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
         // CI determinism hook (--checkpoint mode): preempt mid-lease
         // at the Nth flush, counted across the worker's whole lifetime
         // so replacements make progress before being preempted too.
-        if (a.preempt_after > 0 && ++flushes >= a.preempt_after)
+        if (preempt_after > 0 && ++flushes >= preempt_after)
           (void)std::raise(SIGTERM);
       };
     }
@@ -1085,7 +1225,7 @@ int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
     ++*done;
     // CI determinism hook (lease mode): deliver the preemption signal
     // to ourselves after N served leases, through the real handler.
-    if (a.checkpoint == 0 && a.preempt_after > 0 && *done >= a.preempt_after)
+    if (checkpoint == 0 && preempt_after > 0 && *done >= preempt_after)
       (void)std::raise(SIGTERM);
   }
   return 0;
@@ -1119,10 +1259,14 @@ int serve_leases(const WorkerArgs& a, FrameChannel& chan, long long* done) {
 ///              DONE carries the (offset, length) handoff.
 ///   --connect  HELLO up, the binary plan down as the first frame, then
 ///              the plan-file exchange over the socket.
-int cmd_worker(const WorkerArgs& a) {
-  const bool use_tcp = !a.connect_host.empty();
-  const int sock =
-      use_tcp ? net::tcp_connect(a.connect_host, a.connect_port) : -1;
+int cmd_worker(const Args& a) {
+  const bool use_tcp = a.has("--connect");
+  const std::string target = a.text("--connect");
+  const auto colon = target.rfind(':');
+  const int sock = use_tcp ? net::tcp_connect(
+                                 target.substr(0, colon),
+                                 std::atoi(target.c_str() + colon + 1))
+                           : -1;
   FrameChannel chan(use_tcp ? sock : STDIN_FILENO,
                     use_tcp ? sock : STDOUT_FILENO);
   // HELLO before anything else — a tcp coordinator checks the version
@@ -1143,24 +1287,24 @@ int cmd_worker(const WorkerArgs& a) {
   return rc;
 }
 
+// --- worker fleets (orchestrate, search --workers) --------------------------
+
 enum class DataPlane { pipe, shm, tcp };
 
-DataPlane data_plane_flag(const std::string& flag, int argc, char** argv,
-                          int* i) {
-  std::string v = flag_value(flag, argc, argv, i);
-  if (v == "pipe") return DataPlane::pipe;
+DataPlane data_plane(const Args& a) {
+  const std::string v = a.text("--data-plane", "pipe");
   if (v == "shm") return DataPlane::shm;
-  if (v == "tcp") return DataPlane::tcp;
-  flag_fail(flag, "value '" + v + "' is not 'pipe', 'shm', or 'tcp'");
+  return v == "tcp" ? DataPlane::tcp : DataPlane::pipe;
 }
 
-/// Where a local fleet's plan and arena files go: `dir` (created if
-/// missing), or a fresh $TMPDIR/epa-<cmd>.XXXXXX.
-std::string fleet_dir(const std::string& dir, const char* cmd) {
+/// Where a local fleet's plan and arena files go: --dir (created if
+/// missing), or a fresh $TMPDIR/epa-<command>.XXXXXX.
+std::string fleet_dir(const Args& a) {
+  const std::string dir = a.text("--dir");
   if (dir.empty()) {
     const char* tmp = std::getenv("TMPDIR");
     std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") + "/epa-" +
-                       cmd + ".XXXXXX";
+                       a.cmd->name + ".XXXXXX";
     if (!::mkdtemp(tmpl.data()))
       throw std::runtime_error(std::string("cannot create temp dir: ") +
                                std::strerror(errno));
@@ -1172,46 +1316,29 @@ std::string fleet_dir(const std::string& dir, const char* cmd) {
   return dir;
 }
 
-/// The transport for one fleet draining `plan`. tcp listens for
-/// `workers` dial-ins; pipe and shm fork workers configured by `cfg`,
-/// with the plan written to `dir` as JSON (pipe) or frozen into an arena
-/// there with one segment per lease seq in `leases` (shm).
-std::unique_ptr<core::Transport> make_transport(
-    const char* cmd, DataPlane plane, int workers, int listen_port,
-    const std::string& port_file, core::LocalProcessConfig cfg,
-    const std::string& dir, const core::InjectionPlan& plan,
-    const std::vector<core::Lease>& leases) {
-  if (plane == DataPlane::tcp) {
-    net::TcpTransportConfig tcfg;
-    tcfg.listen_port = listen_port;
-    tcfg.port_file = port_file;
-    tcfg.workers = workers;
-    auto t = std::make_unique<net::TcpTransport>(tcfg, plan);
-    std::fprintf(stderr,
-                 "epa %s: listening on port %d; waiting for %d worker(s) "
-                 "(epa_cli worker --connect HOST:%d)\n",
-                 cmd, t->port(), workers, t->port());
-    return t;
-  }
-  cfg.out_dir = dir;
-  cfg.file_prefix = plan.scenario_name;
-  if (plane == DataPlane::shm)
-    return std::make_unique<core::ShmLocalTransport>(cfg, plan, leases);
-  cfg.plan_path = dir + "/" + plan.scenario_name + ".plan.json";
-  write_file(cfg.plan_path, plan.to_json());
-  return std::make_unique<core::LocalProcessTransport>(cfg);
+/// Plan `scenario` in-process, timing it. Planning runs the scenario
+/// once (the trace run), so the wall time is a live sample of roughly
+/// one build plus one run on this machine — what --lease auto sizes
+/// leases from.
+core::InjectionPlan timed_plan(const core::Scenario& scenario,
+                               const core::CampaignOptions& popts,
+                               double* plan_ms) {
+  const auto t0 = std::chrono::steady_clock::now();
+  core::InjectionPlan plan = core::Planner(scenario).plan(popts);
+  *plan_ms = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - t0)
+                 .count();
+  return plan;
 }
 
 /// `--lease auto` (the default): size leases from the measured per-item
-/// cost. Planning runs the scenario once (the trace run), so the
-/// planning wall time is a live sample of roughly one build plus one
-/// run on this machine. Targeting ~250ms of drain per lease gives
-/// build-heavy scenarios smaller initial leases — rebalancing around
-/// stragglers and preemptions happens at lease grain, so an expensive
-/// lease is a long time to be stuck — while the classic
-/// items/(workers*4) grain stays the ceiling, so cheap scenarios keep
-/// marginal per-lease costs. Lease sizing never changes merged output
-/// (outcomes land by stable id); only scheduling granularity moves.
+/// cost. Targeting ~250ms of drain per lease gives build-heavy scenarios
+/// smaller initial leases — rebalancing around stragglers and
+/// preemptions happens at lease grain, so an expensive lease is a long
+/// time to be stuck — while the classic items/(workers*4) grain stays
+/// the ceiling, so cheap scenarios keep marginal per-lease costs. Lease
+/// sizing never changes merged output (outcomes land by stable id);
+/// only scheduling granularity moves.
 std::size_t auto_lease_items(std::size_t plan_items, int workers,
                              double plan_ms) {
   const std::size_t grain = std::max<std::size_t>(
@@ -1223,64 +1350,97 @@ std::size_t auto_lease_items(std::size_t plan_items, int workers,
   return std::max<std::size_t>(1, static_cast<std::size_t>(by_cost));
 }
 
-/// Parse a `--lease` value: `auto` (measured sizing) or an explicit
-/// item count — the same strict validation every numeric flag gets.
-void parse_lease_flag(const std::string& flag, int argc, char** argv,
-                      int* i, long long* lease, bool* lease_auto) {
-  std::string v = flag_value(flag, argc, argv, i);
-  if (v == "auto") {
-    *lease_auto = true;
-    return;
+/// One fleet's orchestrator options: --workers (default 2),
+/// --deadman-ms, and the lease grain — --lease K, or auto-sized over
+/// `items` and announced on stderr.
+core::OrchestratorOptions fleet_options(const Args& a,
+                                        const std::string& scenario,
+                                        std::size_t items, double plan_ms) {
+  core::OrchestratorOptions o;
+  o.workers = static_cast<int>(a.num("--workers", 2));
+  o.deadman_ms = a.num("--deadman-ms", 0);
+  const std::string lease = a.text("--lease", "auto");
+  if (lease != "auto") {
+    o.lease_items = static_cast<std::size_t>(std::stoll(lease));
+    return o;
   }
-  errno = 0;
-  char* end = nullptr;
-  long long k = std::strtoll(v.c_str(), &end, 10);
-  if (errno == ERANGE || end == v.c_str() || *end != '\0')
-    flag_fail(flag, "value '" + v + "' is not an integer or 'auto'");
-  if (k < 1 || k > (1LL << 30))
-    flag_fail(flag, "value " + v + " out of range [1, " +
-                        std::to_string(1LL << 30) + "]");
-  *lease = k;
-  *lease_auto = false;
+  o.lease_items = auto_lease_items(items, o.workers, plan_ms);
+  std::fprintf(stderr,
+               "epa %s: %s: auto lease grain %zu item(s) (planning took "
+               "%.0f ms)\n",
+               a.cmd->name, scenario.c_str(), o.lease_items, plan_ms);
+  return o;
 }
 
-struct OrchestrateArgs {
-  std::string scenario;
-  std::string scenario_file;  // --scenario-file: spec instead of a name
-  bool all = false;
-  int workers = 2;
-  long long lease = 0;          // items per lease (explicit --lease K)
-  bool lease_auto = true;       // --lease auto: measured sizing (default)
-  int jobs = 1;                 // per-worker --jobs
-  long long preempt_after = 0;  // forwarded to workers (CI hook)
-  long long checkpoint = 0;     // forwarded to workers: mid-lease partials
-  long long drain_delay_ms = 0;  // forwarded: straggler hook (CI)
-  DataPlane plane = DataPlane::pipe;
-  long long deadman_ms = 0;     // silence budget; 0 = no deadman
-  int listen_port = 0;          // tcp: port to bind (0 = ephemeral)
-  std::string port_file;        // tcp: where to publish the bound port
-  bool as_json = false;
-  bool use_world_cache = true;
-  bool use_redzone = true;  // --no-redzone forwarded to workers
-  std::string dir;  // plan + lease/arena files; empty = fresh temp dir
-};
-
-int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
-  const bool tcp = a.plane == DataPlane::tcp;
-  // The tcp plane moves no files; nothing to create.
-  const std::string dir = tcp ? a.dir : fleet_dir(a.dir, "orch");
-
-  std::vector<core::Scenario> scenarios;
-  if (a.all) {
-    scenarios = apps::all_scenarios();
-  } else if (!a.scenario_file.empty()) {
-    scenarios.push_back(scenario_from_file(a.scenario_file));
-  } else {
-    bool found = false;
-    core::Scenario s = find_scenario(a.scenario, found);
-    if (!found) return unknown_scenario(a.scenario);
-    scenarios.push_back(std::move(s));
+/// The transport for one fleet draining `plan`. tcp listens for
+/// `workers` dial-ins; pipe and shm fork workers that receive the
+/// command line's worker flags, with the plan written to `dir` as JSON
+/// (pipe) or frozen into an arena there with one segment per lease seq
+/// in `leases` (shm).
+std::unique_ptr<core::Transport> make_transport(
+    const Args& a, int workers, const std::string& dir,
+    const core::InjectionPlan& plan, const std::vector<core::Lease>& leases) {
+  const DataPlane plane = data_plane(a);
+  if (plane == DataPlane::tcp) {
+    net::TcpTransportConfig tcfg;
+    tcfg.listen_port = static_cast<int>(a.num("--listen", 0));
+    tcfg.port_file = a.text("--port-file");
+    tcfg.workers = workers;
+    auto t = std::make_unique<net::TcpTransport>(tcfg, plan);
+    std::fprintf(stderr,
+                 "epa %s: listening on port %d; waiting for %d worker(s) "
+                 "(epa_cli worker --connect HOST:%d)\n",
+                 a.cmd->name, t->port(), workers, t->port());
+    return t;
   }
+  core::LocalProcessConfig cfg;
+  cfg.epa_cli = core::LocalProcessTransport::self_exe(a.argv0);
+  cfg.out_dir = dir;
+  cfg.file_prefix = plan.scenario_name;
+  cfg.worker_flags = a.worker_flags;
+  if (plane == DataPlane::shm)
+    return std::make_unique<core::ShmLocalTransport>(cfg, plan, leases);
+  cfg.plan_path = dir + "/" + plan.scenario_name + ".plan.json";
+  write_file(cfg.plan_path, plan.to_json());
+  return std::make_unique<core::LocalProcessTransport>(cfg);
+}
+
+void report_fleet(const Args& a, const std::string& scenario,
+                  const core::OrchestratorOptions& o,
+                  const core::OrchestratorStats& stats) {
+  std::fprintf(stderr,
+               "epa %s: %s: %zu leases across %zu worker(s) (%zu "
+               "re-leased, %zu preempted, %zu spawned, %zu split, %zu "
+               "deadman)\n",
+               a.cmd->name, scenario.c_str(), stats.leases_total,
+               static_cast<std::size_t>(o.workers), stats.leases_released,
+               stats.workers_preempted, stats.workers_spawned,
+               stats.leases_split, stats.deadman_expiries);
+}
+
+/// The adequacy summary rides stderr: stdout stays byte-identical to a
+/// single-process run on every data plane and worker count. The fired
+/// classes are listed one per line so adequacy tooling — and the CI
+/// check that a search loses no class an exhaustive drain fires — can
+/// consume them without parsing the report.
+void report_coverage(const Args& a, const core::SweepResult& sweep,
+                     const std::string& lead) {
+  vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
+  std::fprintf(stderr,
+               "epa %s: %svulnerability coverage %zu/%d EAI classes "
+               "(%.1f%%)\n",
+               a.cmd->name, lead.c_str(), cov.fired.size(), cov.total(),
+               100.0 * cov.fraction());
+  for (const auto& c : cov.fired)
+    std::fprintf(stderr, "epa %s: fired %s\n", a.cmd->name, c.c_str());
+}
+
+int cmd_orchestrate(const Args& a) {
+  std::vector<core::Scenario> scenarios = select_scenarios(a);
+  if (scenarios.empty()) return 1;
+  const DataPlane plane = data_plane(a);
+  // The tcp plane moves no files; nothing to create.
+  const std::string dir = plane == DataPlane::tcp ? "" : fleet_dir(a);
 
   core::SweepResult sweep;
   for (const core::Scenario& scenario : scenarios) {
@@ -1288,106 +1448,32 @@ int cmd_orchestrate(const OrchestrateArgs& a, const char* argv0) {
     // the merge; only workers pay a plan parse (once per process).
     core::CampaignOptions popts;
     popts.use_world_cache = false;  // the plan file carries no snapshot
-    popts.use_redzone = a.use_redzone;
-    const auto plan_t0 = std::chrono::steady_clock::now();
-    core::InjectionPlan plan = core::Planner(scenario).plan(popts);
-    const double plan_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - plan_t0)
-            .count();
-
-    core::OrchestratorOptions oopts;
-    oopts.workers = a.workers;
-    oopts.lease_items =
-        a.lease_auto
-            ? auto_lease_items(plan.items.size(), a.workers, plan_ms)
-            : static_cast<std::size_t>(a.lease);
-    if (a.lease_auto)
-      std::fprintf(stderr,
-                   "epa orchestrate: %s: auto lease grain %zu item(s) "
-                   "(planning took %.0f ms)\n",
-                   scenario.name.c_str(), oopts.lease_items, plan_ms);
-    oopts.deadman_ms = a.deadman_ms;
-
-    core::LocalProcessConfig cfg;
-    cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-    // A spec file is forwarded so workers compile the same spec the
-    // coordinator planned, even when its name is not in the registry.
-    cfg.scenario_file = a.scenario_file;
-    cfg.jobs = a.jobs;
-    cfg.use_world_cache = a.use_world_cache;
-    cfg.use_redzone = a.use_redzone;
-    cfg.preempt_after = a.preempt_after;
-    cfg.checkpoint = a.checkpoint;
-    cfg.drain_delay_ms = a.drain_delay_ms;
+    popts.use_redzone = !a.has("--no-redzone");
+    double plan_ms = 0;
+    core::InjectionPlan plan = timed_plan(scenario, popts, &plan_ms);
+    core::OrchestratorOptions oopts =
+        fleet_options(a, scenario.name, plan.items.size(), plan_ms);
     // The shm arena is sized against the exact lease partition
     // orchestrate() will schedule (plus the stolen-tail reserve).
     std::unique_ptr<core::Transport> transport = make_transport(
-        "orchestrate", a.plane, a.workers, a.listen_port, a.port_file, cfg,
-        dir, plan,
-        a.plane == DataPlane::shm
+        a, oopts.workers, dir, plan,
+        plane == DataPlane::shm
             ? core::lease_partition(plan.items.size(), oopts)
             : std::vector<core::Lease>{});
-
     core::OrchestratorStats stats;
     sweep.results.push_back(
         core::orchestrate(plan, *transport, oopts, &stats));
-    std::fprintf(stderr,
-                 "epa orchestrate: %s: %zu leases across %zu worker(s) "
-                 "(%zu re-leased, %zu preempted, %zu spawned, %zu split, "
-                 "%zu deadman)\n",
-                 scenario.name.c_str(), stats.leases_total,
-                 static_cast<std::size_t>(a.workers), stats.leases_released,
-                 stats.workers_preempted, stats.workers_spawned,
-                 stats.leases_split, stats.deadman_expiries);
+    report_fleet(a, scenario.name, oopts, stats);
   }
-  if (!tcp)
+  if (plane != DataPlane::tcp)
     std::fprintf(stderr, "epa orchestrate: %s files in %s\n",
-                 a.plane == DataPlane::shm ? "arena" : "plan", dir.c_str());
-  // The adequacy summary rides stderr: stdout stays byte-identical to a
-  // single-process run/sweep on every data plane.
-  vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
-  std::fprintf(stderr,
-               "epa orchestrate: vulnerability coverage %zu/%d EAI "
-               "classes (%.1f%%)\n",
-               cov.fired.size(), cov.total(), 100.0 * cov.fraction());
-  // One line per fired class: the search smoke leg diffs these against a
-  // coverage-guided search's to prove the search lost no class.
-  for (const auto& c : cov.fired)
-    std::fprintf(stderr, "epa orchestrate: fired %s\n", c.c_str());
-
-  if (a.all) return print_sweep(sweep, a.as_json);
-  const core::CampaignResult& r = sweep.results.front();
-  std::printf("%s", (a.as_json ? core::render_json(r)
-                               : core::render_report(r))
-                        .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // same contract as `run`
+                 plane == DataPlane::shm ? "arena" : "plan", dir.c_str());
+  report_coverage(a, sweep, "");
+  if (a.has("--all")) return print_sweep(sweep, a.has("--json"));
+  return print_result(sweep.results.front(), a.has("--json"));
 }
 
 // --- coverage-guided search (core/search.hpp, docs/SEARCH.md) ---------------
-
-struct SearchArgs {
-  std::string scenario;
-  std::string scenario_file;  // --scenario-file: spec instead of a name
-  std::string family;         // --family F: cumulative sequential search
-  std::uint64_t seed = 1;
-  long long budget = 0;       // required: total injection runs
-  long long batch = 16;       // wave size cap
-  int jobs = 1;
-  int workers = 0;            // 0 = in-process drain; > 0 = orchestrated
-  DataPlane plane = DataPlane::pipe;
-  long long lease = 0;
-  bool lease_auto = true;
-  int listen_port = 0;        // tcp
-  std::string port_file;      // tcp
-  std::string state_path;     // --state FILE: checkpoint at wave barriers
-  bool resume = false;        // --resume: replay --state when it exists
-  long long stop_after = 0;   // stop after W wave barriers, exit 4
-  bool as_json = false;
-  bool use_world_cache = true;
-  bool use_redzone = true;
-  std::string dir;
-};
 
 /// The search drive: one SearchWorkSource per scenario, drained either
 /// in-process (run_search) or across a worker fleet (orchestrate_source
@@ -1397,29 +1483,15 @@ struct SearchArgs {
 /// class fired by member one stops paying rent in member two. Exit
 /// contract: 0/3 like `run`, 4 when --stop-after ended the search early
 /// (checkpoint flushed; finish with --resume).
-int cmd_search(const SearchArgs& a, const char* argv0) {
-  std::vector<core::Scenario> scenarios;
-  if (!a.family.empty()) {
-    const core::ScenarioFamily* fam = apps::find_family(a.family);
-    if (!fam) {
-      std::fprintf(stderr, "epa: unknown family '%s'\nepa: %s\n",
-                   a.family.c_str(), apps::scenario_names_hint().c_str());
-      return 1;
-    }
-    scenarios = apps::family_scenarios(*fam);
-  } else if (!a.scenario_file.empty()) {
-    scenarios.push_back(scenario_from_file(a.scenario_file));
-  } else {
-    bool found = false;
-    core::Scenario s = find_scenario(a.scenario, found);
-    if (!found) return unknown_scenario(a.scenario);
-    scenarios.push_back(std::move(s));
-  }
-
-  const bool orchestrated = a.workers > 0;
-  const std::string dir = orchestrated && a.plane != DataPlane::tcp
-                              ? fleet_dir(a.dir, "search")
-                              : a.dir;
+int cmd_search(const Args& a) {
+  std::vector<core::Scenario> scenarios = select_scenarios(a);
+  if (scenarios.empty()) return 1;
+  const bool orchestrated = a.has("--workers");
+  const DataPlane plane = data_plane(a);
+  const std::string dir =
+      orchestrated && plane != DataPlane::tcp ? fleet_dir(a) : "";
+  const std::string state_path = a.text("--state");
+  const std::size_t budget = static_cast<std::size_t>(a.num("--budget", 0));
 
   core::NoveltyScorer scorer;  // shared across family members
   core::SweepResult sweep;
@@ -1427,7 +1499,6 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
   std::size_t generated_items = 0;
   for (std::size_t m = 0; m < scenarios.size(); ++m) {
     const core::Scenario& scenario = scenarios[m];
-    const std::size_t budget = static_cast<std::size_t>(a.budget);
     const std::size_t member_budget =
         budget / scenarios.size() +
         (m == 0 ? budget % scenarios.size() : 0);
@@ -1435,20 +1506,17 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
     // The exhaustive plan is the candidate frontier; its planning wall
     // time doubles as the per-item cost sample for --lease auto.
     core::CampaignOptions popts;
-    popts.use_world_cache = orchestrated ? false : a.use_world_cache;
-    popts.use_redzone = a.use_redzone;
-    const auto plan_t0 = std::chrono::steady_clock::now();
-    core::InjectionPlan base = core::Planner(scenario).plan(popts);
-    const double plan_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - plan_t0)
-            .count();
+    popts.use_world_cache = !orchestrated && !a.has("--no-world-cache");
+    popts.use_redzone = !a.has("--no-redzone");
+    double plan_ms = 0;
+    core::InjectionPlan base = timed_plan(scenario, popts, &plan_ms);
     exhaustive_items += base.items.size();
 
     core::SearchOptions sopts;
-    sopts.seed = a.seed;
+    if (a.has("--seed"))
+      sopts.seed = std::strtoull(a.text("--seed").c_str(), nullptr, 10);
     sopts.budget = member_budget;
-    sopts.batch = static_cast<std::size_t>(a.batch);
+    sopts.batch = static_cast<std::size_t>(a.num("--batch", 16));
     sopts.classify = [](core::FaultKind kind, const std::string& name) {
       return vulndb::coverage_class(kind, name);
     };
@@ -1458,50 +1526,36 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
     // is installed, so replay never re-writes the state file. A missing
     // state file is a fresh start — a search killed before its first
     // wave barrier left nothing behind, by design.
-    if (a.resume) {
+    if (a.has("--resume")) {
       struct stat st{};
-      if (::stat(a.state_path.c_str(), &st) == 0)
-        source.resume(core::search_state_from_json(read_file(a.state_path)));
+      if (::stat(state_path.c_str(), &st) == 0)
+        source.resume(core::search_state_from_json(read_file(state_path)));
     }
-    if (!a.state_path.empty())
+    if (!state_path.empty())
       source.set_checkpoint([&](const core::SearchState& s) {
-        write_file_atomic(a.state_path, core::search_state_to_json(s));
+        write_file_atomic(state_path, core::search_state_to_json(s));
       });
 
     core::CampaignResult result;
     if (!orchestrated) {
       core::Executor executor(scenario);
-      core::ExecutorOptions eopts;
-      eopts.jobs = a.jobs;
-      eopts.use_world_cache = a.use_world_cache;
-      eopts.use_redzone = a.use_redzone;
       core::SearchRunResult run = core::run_search(
-          executor, source, eopts, static_cast<std::size_t>(a.stop_after));
+          executor, source, executor_options(a),
+          static_cast<std::size_t>(a.num("--stop-after", 0)));
       if (run.stopped) {
         std::fprintf(stderr,
                      "epa search: stopped after %zu wave(s); state "
                      "checkpointed to %s (finish with --resume)\n",
-                     run.waves, a.state_path.c_str());
+                     run.waves, state_path.c_str());
         return 4;
       }
       result = std::move(run.result);
     } else {
-      core::OrchestratorOptions oopts;
-      oopts.workers = a.workers;
       // Waves are at most `batch` items, so the auto grain sizes leases
       // against the wave, not the (unbounded) generated stream.
-      oopts.lease_items =
-          a.lease_auto
-              ? auto_lease_items(sopts.batch, a.workers, plan_ms)
-              : static_cast<std::size_t>(a.lease);
-
+      core::OrchestratorOptions oopts =
+          fleet_options(a, scenario.name, sopts.batch, plan_ms);
       const std::size_t known = source.plan().items.size();
-      core::LocalProcessConfig cfg;
-      cfg.epa_cli = core::LocalProcessTransport::self_exe(argv0);
-      cfg.scenario_file = a.scenario_file;
-      cfg.jobs = a.jobs;
-      cfg.use_world_cache = a.use_world_cache;
-      cfg.use_redzone = a.use_redzone;
       // The shm arena needs a segment per lease seq up front, but search
       // leases are cut per wave as items are generated. Bound the seq
       // space instead of enumerating it: every lease covers at least one
@@ -1509,7 +1563,7 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
       // (the ctor adds the stolen-tail reserve) of the grain's span each
       // cover the worst case.
       std::vector<core::Lease> synth;
-      if (a.plane == DataPlane::shm) {
+      if (plane == DataPlane::shm) {
         const std::size_t max_lease = std::max<std::size_t>(
             1, std::min(oopts.lease_items,
                         std::min(sopts.batch,
@@ -1518,20 +1572,12 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
              ++s)
           synth.push_back({s, 0, max_lease});
       }
-      std::unique_ptr<core::Transport> transport = make_transport(
-          "search", a.plane, a.workers, a.listen_port, a.port_file, cfg, dir,
-          source.plan(), synth);
-
+      std::unique_ptr<core::Transport> transport =
+          make_transport(a, oopts.workers, dir, source.plan(), synth);
       core::OrchestratorStats stats;
       result = core::orchestrate_source(source, *transport, oopts, &stats,
                                         known);
-      std::fprintf(stderr,
-                   "epa search: %s: %zu leases across %zu worker(s) "
-                   "(%zu re-leased, %zu preempted, %zu spawned, %zu split)\n",
-                   scenario.name.c_str(), stats.leases_total,
-                   static_cast<std::size_t>(a.workers),
-                   stats.leases_released, stats.workers_preempted,
-                   stats.workers_spawned, stats.leases_split);
+      report_fleet(a, scenario.name, oopts, stats);
     }
     generated_items += source.plan().items.size();
     std::fprintf(stderr,
@@ -1541,30 +1587,17 @@ int cmd_search(const SearchArgs& a, const char* argv0) {
     sweep.results.push_back(std::move(result));
   }
 
-  // The adequacy lines ride stderr (stdout is the report, byte-compared
-  // across planes and worker counts by the determinism tests). The fired
-  // classes are listed one per line so adequacy tooling — and the CI
-  // superset check against an exhaustive drain — can consume them
-  // without parsing the report.
-  vulndb::VulnCoverage cov = vulndb::vulnerability_coverage(sweep.results);
-  std::fprintf(stderr,
-               "epa search: %zu of %zu exhaustive item(s) spent (%.1f%%), "
-               "vulnerability coverage %zu/%d EAI classes (%.1f%%)\n",
-               generated_items, exhaustive_items,
-               exhaustive_items == 0
-                   ? 0.0
-                   : 100.0 * static_cast<double>(generated_items) /
-                         static_cast<double>(exhaustive_items),
-               cov.fired.size(), cov.total(), 100.0 * cov.fraction());
-  for (const auto& c : cov.fired)
-    std::fprintf(stderr, "epa search: fired %s\n", c.c_str());
-
-  if (scenarios.size() > 1) return print_sweep(sweep, a.as_json, true);
-  const core::CampaignResult& r = sweep.results.front();
-  std::printf("%s", (a.as_json ? core::render_json(r)
-                               : core::render_report(r))
-                        .c_str());
-  return r.exploitable().empty() ? 0 : 3;  // same contract as `run`
+  char lead[128];
+  std::snprintf(lead, sizeof lead,
+                "%zu of %zu exhaustive item(s) spent (%.1f%%), ",
+                generated_items, exhaustive_items,
+                exhaustive_items == 0
+                    ? 0.0
+                    : 100.0 * static_cast<double>(generated_items) /
+                          static_cast<double>(exhaustive_items));
+  report_coverage(a, sweep, lead);
+  if (scenarios.size() > 1) return print_sweep(sweep, a.has("--json"), true);
+  return print_result(sweep.results.front(), a.has("--json"));
 }
 
 /// Malformed or partial wire files must exit non-zero with a clear
@@ -1579,541 +1612,219 @@ int guarded(Fn&& fn) {
   }
 }
 
+// --- the command table ------------------------------------------------------
+
+// Rules more than one subcommand applies.
+const Rule kDrainNeedsCheckpoint{
+    Rule::needs, {"--drain-delay-ms"}, {"--checkpoint"},
+    "--drain-delay-ms needs --checkpoint (the delay is applied per "
+    "checkpoint chunk)"};
+const Rule kOnePlanOnTcp{
+    Rule::excludes, {"--all", "--family"}, {"--data-plane=tcp"},
+    "%s needs the pipe or shm data plane (a tcp fleet parses one plan at "
+    "connect time)"};
+const Rule kTcpWorkerSide{Rule::worker_side, {}, {"--data-plane=tcp"}};
+const Rule kTcpOnly{Rule::needs, {"--listen", "--port-file"},
+                    {"--data-plane=tcp"}, "%s needs --data-plane tcp"};
+
+const std::vector<Command> kCommands = {
+    {"list", cmd_list, "", 0, 0, {}, {}},
+    {"scenarios", cmd_scenarios, "", 0, 0,
+     {kFamily, {"--spec", Grammar::text}, kJson},
+     {{Rule::excludes, {"--family"}, {"--spec"},
+       "--family and --spec are exclusive"}}},
+    {"trace", cmd_trace, "<scenario>", 1, 1, {}, {}},
+    {"compare", cmd_compare, "<scenario>", 2, 2, {}, {}},
+    {"db", cmd_db, "<category>", 0, 1, {}, {}},
+    {"run", cmd_run, "<scenario>", 0, 1,
+     {kScenarioFile, kSites, kCoverage, kSeed, kMerge, kJson, kJobs,
+      kNoWorldCache, kNoRedzone},
+     {{Rule::one_of, {"<scenario>", "--scenario-file"}, {}}}},
+    {"sweep", cmd_sweep, "", 0, 0,
+     {kFamily, kScenarioFile, kJobs, kSeed, kMerge, kJson, kNoWorldCache,
+      kNoRedzone},
+     {{Rule::excludes, {"--family"}, {"--scenario-file"},
+       "--family and --scenario-file are exclusive"}}},
+    // A flag outside the mode it applies to is an error, not ignored: a
+    // silently ignored flag hides a typo'd command (a --sites under
+    // --all would plan zero work items for every scenario).
+    {"plan", cmd_plan, "<scenario>", 0, 1,
+     {kAll, kScenarioFile, kOut, {"--out-dir", Grammar::text}, {"--binary"},
+      kSites, kCoverage, kSeed, kMerge, kJobs},
+     {{Rule::one_of, {"--all", "<scenario>", "--scenario-file"}, {}},
+      {Rule::excludes, {"--out"}, {"--all"},
+       "--out applies to single-scenario plan only (use --out-dir with "
+       "--all)"},
+      {Rule::excludes, {"--binary", "--sites", "--coverage"}, {"--all"},
+       "%s applies to single-scenario plan only"},
+      {Rule::needs, {"--out-dir", "--jobs"}, {"--all"},
+       "%s applies to plan --all only"}}},
+    {"run-shard", cmd_run_shard, "<plan-file>", 1, 1,
+     {{"--shard", Grammar::text}, {"--resume", Grammar::text}, kOut,
+      kScenarioFile, kJobs, kCheckpoint, kPreemptAfter, kNoWorldCache,
+      kNoRedzone},
+     {{Rule::needs, {}, {"--shard", "--resume"}},
+      {Rule::needs, {"--checkpoint"}, {"--out", "--resume"},
+       "--checkpoint needs --out (checkpoints are flushed to the report "
+       "file)"},
+      {Rule::needs, {"--preempt-after"}, {"--checkpoint"},
+       "--preempt-after needs --checkpoint (preemption is delivered at a "
+       "checkpoint flush)"}}},
+    {"merge", cmd_merge, "<file>", 2, SIZE_MAX, {kJson}, {}},
+    // Exactly one data plane: a plan file (pipe), --arena (shm), or
+    // --connect (tcp).
+    {"worker", cmd_worker, "<plan-file>", 0, 1,
+     {{"--arena", Grammar::text}, {"--connect", Grammar::host_port},
+      kScenarioFile, kJobs, kCheckpoint, kPreemptAfter, kDrainDelay,
+      kNoWorldCache, kNoRedzone},
+     {{Rule::one_of, {"<plan-file>", "--arena", "--connect"}, {},
+       "worker takes exactly one of a plan file, --arena, or --connect"},
+      kDrainNeedsCheckpoint}},
+    {"orchestrate", cmd_orchestrate, "<scenario>", 0, 1,
+     {kAll, kScenarioFile, kWorkers, kLease, kDataPlane,
+      {"--deadman-ms", Grammar::integer, 1, kMaxCount}, kListen, kPortFile,
+      kJson, kJobs, kPreemptAfter, kCheckpoint, kDrainDelay, kNoWorldCache,
+      kNoRedzone, kDir},
+     {{Rule::one_of, {"--all", "<scenario>", "--scenario-file"}, {}},
+      kOnePlanOnTcp, kTcpWorkerSide, kTcpOnly,
+      {Rule::needs, {"--deadman-ms"}, {"--checkpoint", "--data-plane=tcp"},
+       "--deadman-ms needs --checkpoint on the pipe/shm data planes "
+       "(heartbeats are sent at checkpoint flushes)"},
+      kDrainNeedsCheckpoint}},
+    {"search", cmd_search, "<scenario>", 0, 1,
+     {kFamily, kScenarioFile, {"--budget", Grammar::integer, 1, kMaxCount},
+      kSeed, {"--batch", Grammar::integer, 1, 1LL << 20},
+      {"--state", Grammar::text}, {"--resume"},
+      {"--stop-after", Grammar::integer, 1, kMaxCount}, kWorkers, kLease,
+      kDataPlane, kListen, kPortFile, kJson, kJobs, kNoWorldCache,
+      kNoRedzone, kDir},
+     {{Rule::one_of, {"<scenario>", "--scenario-file", "--family"}, {}},
+      {Rule::needs, {}, {"--budget"},
+       "search needs --budget N (the total number of injection runs to "
+       "spend)"},
+      {Rule::needs, {"--resume"}, {"--state"}, "--resume needs --state FILE"},
+      // A family search interleaves members through one scorer; a
+      // checkpoint of member N alone could not reproduce that state.
+      {Rule::excludes, {"--state", "--stop-after"}, {"--family"},
+       "%s works on a single scenario, not --family"},
+      {Rule::excludes, {"--stop-after"}, {"--workers"},
+       "--stop-after drives the in-process drain; drop --workers "
+       "(orchestrated searches checkpoint at every wave barrier anyway)"},
+      {Rule::needs, {"--stop-after"}, {"--state"},
+       "--stop-after needs --state FILE (stopping without a checkpoint "
+       "would just discard the waves)"},
+      {Rule::needs, {"--data-plane=tcp"}, {"--workers"},
+       "--data-plane tcp needs --workers N"},
+      kOnePlanOnTcp, kTcpWorkerSide, kTcpOnly,
+      {Rule::needs, {"--lease", "--data-plane", "--dir"}, {"--workers"},
+       "%s needs --workers N"}}},
+};
+
+bool Args::has(const std::string& name) const {
+  if (name == cmd->operand) return !operands.empty();
+  const auto eq = name.find('=');
+  const std::string flag = name.substr(0, eq);
+  // Catch a misspelled name in the table or a command: every name must
+  // be some subcommand's flag.
+  const bool declared = std::any_of(
+      kCommands.begin(), kCommands.end(), [&](const Command& c) {
+        return std::any_of(c.flags.begin(), c.flags.end(),
+                           [&](const Flag& f) { return flag == f.name; });
+      });
+  if (!declared) throw std::logic_error("no flag named '" + flag + "'");
+  auto it = values.find(flag);
+  return it != values.end() &&
+         (eq == std::string::npos || it->second == name.substr(eq + 1));
+}
+
+[[noreturn]] void usage_error() { std::exit(usage()); }
+
+[[noreturn]] void rule_fail(const Rule& r, const std::string& flag) {
+  if (!r.message) usage_error();
+  std::string msg = r.message;
+  const auto at = msg.find("%s");
+  if (at != std::string::npos) msg.replace(at, 2, flag);
+  std::fprintf(stderr, "epa: %s\n", msg.c_str());
+  std::exit(1);
+}
+
+void check_rule(const Args& a, const Rule& r) {
+  auto given = [&](const char* name) { return a.has(name); };
+  const bool any_other = std::any_of(r.others.begin(), r.others.end(), given);
+  switch (r.kind) {
+    case Rule::needs:
+      if (r.flags.empty() && !any_other) rule_fail(r, "");
+      for (const char* f : r.flags)
+        if (a.has(f) && !any_other) rule_fail(r, f);
+      return;
+    case Rule::excludes:
+      for (const char* f : r.flags)
+        if (a.has(f) && any_other) rule_fail(r, f);
+      return;
+    case Rule::one_of: {
+      const auto n = std::count_if(r.flags.begin(), r.flags.end(), given);
+      if (n == 0) usage_error();
+      if (n > 1) rule_fail(r, "");
+      return;
+    }
+    case Rule::worker_side:
+      if (!any_other) return;
+      for (const Flag& f : a.cmd->flags)
+        if ((f.side == Side::worker || f.side == Side::fleet) &&
+            a.has(f.name)) {
+          std::fprintf(stderr,
+                       "epa: %s is worker-side; pass it to `epa_cli worker "
+                       "--connect` (tcp workers are not spawned by %s)\n",
+                       f.name, a.cmd->name);
+          std::exit(1);
+        }
+      return;
+  }
+}
+
+/// The one parse every subcommand shares: operands and flags in any
+/// order, each value checked as it is read, then the command's rules.
+Args parse(const Command& cmd, int argc, char** argv) {
+  Args a;
+  a.cmd = &cmd;
+  a.argv0 = argv[0];
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (!starts_with(arg, "--") && a.operands.size() < cmd.max_operands) {
+      a.operands.push_back(arg);
+      continue;
+    }
+    auto f = std::find_if(cmd.flags.begin(), cmd.flags.end(),
+                          [&](const Flag& fl) { return arg == fl.name; });
+    if (f == cmd.flags.end()) {
+      std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
+      usage_error();
+    }
+    std::string value;
+    if (f->grammar != Grammar::none) {
+      if (i + 1 >= argc) flag_fail(arg, "requires a value");
+      value = argv[++i];
+      check_value(*f, value);
+    }
+    a.values[arg] = value;
+    if (f->side == Side::worker || f->side == Side::both) {
+      a.worker_flags.push_back(arg);
+      if (f->grammar != Grammar::none) a.worker_flags.push_back(value);
+    }
+  }
+  if (a.operands.size() < cmd.min_operands) usage_error();
+  for (const Rule& r : cmd.rules) check_rule(a, r);
+  return a;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  std::string cmd = argv[1];
-  if (cmd == "list") return cmd_list();
-  if (cmd == "scenarios") {
-    std::string family, spec_name;
-    bool as_json = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        as_json = true;
-      } else if (arg == "--family") {
-        family = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--spec") {
-        spec_name = flag_value(arg, argc, argv, &i);
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
+  for (const Command& cmd : kCommands)
+    if (cmd.name == std::string(argv[1])) {
+      const Args a = parse(cmd, argc, argv);
+      return guarded([&] { return cmd.run(a); });
     }
-    if (!family.empty() && !spec_name.empty()) {
-      std::fprintf(stderr, "epa: --family and --spec are exclusive\n");
-      return 1;
-    }
-    return guarded([&] { return cmd_scenarios(family, spec_name, as_json); });
-  }
-  if (cmd == "db") return cmd_db(argc >= 3 ? argv[2] : "");
-  if (cmd == "sweep") {
-    core::SweepOptions opts;
-    bool as_json = false;
-    std::string family, scenario_file;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        as_json = true;
-      } else if (arg == "--merge") {
-        opts.campaign.merge_equivalent_sites = true;
-      } else if (arg == "--jobs") {
-        opts.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--seed") {
-        opts.campaign.seed = uint64_flag(arg, argc, argv, &i);
-      } else if (arg == "--family") {
-        family = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--scenario-file") {
-        scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--no-world-cache") {
-        opts.campaign.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        opts.campaign.use_redzone = false;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    if (!family.empty() && !scenario_file.empty()) {
-      std::fprintf(stderr,
-                   "epa: --family and --scenario-file are exclusive\n");
-      return 1;
-    }
-    return guarded([&] {
-      return cmd_sweep(opts, as_json, family, scenario_file);
-    });
-  }
-  if (cmd == "plan") {
-    core::CampaignOptions opts;
-    core::SweepOptions sweep_opts;
-    bool all = false, saw_out_dir = false, saw_jobs = false;
-    bool saw_sites = false, saw_coverage = false, binary = false;
-    std::string scenario_name, scenario_file, out_path, out_dir = ".";
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--all") {
-        all = true;
-      } else if (arg == "--binary") {
-        binary = true;
-      } else if (arg == "--merge") {
-        opts.merge_equivalent_sites = true;
-      } else if (arg == "--sites") {
-        opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
-        saw_sites = true;
-      } else if (arg == "--coverage") {
-        opts.target_interaction_coverage =
-            unit_interval_flag(arg, argc, argv, &i);
-        saw_coverage = true;
-      } else if (arg == "--seed") {
-        opts.seed = uint64_flag(arg, argc, argv, &i);
-      } else if (arg == "--jobs") {
-        sweep_opts.jobs =
-            static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-        saw_jobs = true;
-      } else if (arg == "--out") {
-        out_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--out-dir") {
-        out_dir = flag_value(arg, argc, argv, &i);
-        saw_out_dir = true;
-      } else if (arg == "--scenario-file") {
-        scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (!starts_with(arg, "--") && scenario_name.empty()) {
-        scenario_name = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    // Exactly one of --all / <scenario> / --scenario-file must be given,
-    // and flags must match the mode — a silently ignored flag hides a
-    // typo'd command.
-    if ((all ? 1 : 0) + (scenario_name.empty() ? 0 : 1) +
-            (scenario_file.empty() ? 0 : 1) !=
-        1)
-      return usage();
-    if (all && !out_path.empty()) {
-      std::fprintf(stderr,
-                   "epa: --out applies to single-scenario plan only "
-                   "(use --out-dir with --all)\n");
-      return usage();
-    }
-    if (all && binary) {
-      std::fprintf(stderr,
-                   "epa: --binary applies to single-scenario plan only\n");
-      return usage();
-    }
-    if (all && (saw_sites || saw_coverage)) {
-      // Site tags are per-scenario: a typo'd --sites under --all would
-      // silently plan zero work items for every scenario.
-      std::fprintf(stderr,
-                   "epa: %s applies to single-scenario plan only\n",
-                   saw_sites ? "--sites" : "--coverage");
-      return usage();
-    }
-    if (!all && (saw_out_dir || saw_jobs)) {
-      std::fprintf(stderr,
-                   "epa: %s applies to plan --all only\n",
-                   saw_out_dir ? "--out-dir" : "--jobs");
-      return usage();
-    }
-    sweep_opts.campaign = opts;
-    return guarded([&] {
-      return all ? cmd_plan_all(sweep_opts, out_dir)
-                 : cmd_plan(scenario_name, scenario_file, opts, out_path,
-                            binary);
-    });
-  }
-  if (cmd == "run-shard") {
-    RunShardArgs a;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--shard") {
-        a.shard_spec = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--resume") {
-        a.resume_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--out") {
-        a.out_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--checkpoint") {
-        a.checkpoint = static_cast<std::size_t>(
-            int_flag(arg, argc, argv, &i, 1, 1LL << 30));
-      } else if (arg == "--preempt-after") {
-        a.preempt_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-      } else if (!starts_with(arg, "--") && a.plan_path.empty()) {
-        a.plan_path = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    if (a.plan_path.empty()) return usage();
-    if (a.shard_spec.empty() && a.resume_path.empty()) return usage();
-    if (a.checkpoint > 0 && a.out_path.empty() && a.resume_path.empty()) {
-      std::fprintf(stderr,
-                   "epa: --checkpoint needs --out (checkpoints are flushed "
-                   "to the report file)\n");
-      return 1;
-    }
-    if (a.preempt_after > 0 && a.checkpoint == 0) {
-      std::fprintf(stderr,
-                   "epa: --preempt-after needs --checkpoint (preemption is "
-                   "delivered at a checkpoint flush)\n");
-      return 1;
-    }
-    return guarded([&] { return cmd_run_shard(std::move(a)); });
-  }
-  if (cmd == "worker") {
-    WorkerArgs a;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--preempt-after") {
-        a.preempt_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--checkpoint") {
-        a.checkpoint = static_cast<std::size_t>(
-            int_flag(arg, argc, argv, &i, 1, 1LL << 30));
-      } else if (arg == "--drain-delay-ms") {
-        a.drain_delay_ms = int_flag(arg, argc, argv, &i, 1, 1LL << 20);
-      } else if (arg == "--arena") {
-        a.arena_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--connect") {
-        // HOST:PORT, split on the *last* colon; the port goes through
-        // the same strict strtoll validation as every numeric flag.
-        std::string v = flag_value(arg, argc, argv, &i);
-        auto colon = v.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == v.size())
-          flag_fail(arg, "value '" + v + "' is not HOST:PORT");
-        errno = 0;
-        char* end = nullptr;
-        long long port = std::strtoll(v.c_str() + colon + 1, &end, 10);
-        if (errno == ERANGE || end == v.c_str() + colon + 1 ||
-            *end != '\0' || port < 1 || port > 65535)
-          flag_fail(arg, "port '" + v.substr(colon + 1) +
-                             "' is not in [1, 65535]");
-        a.connect_host = v.substr(0, colon);
-        a.connect_port = static_cast<int>(port);
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-      } else if (!starts_with(arg, "--") && a.plan_path.empty()) {
-        a.plan_path = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    // Exactly one data plane: a plan file (pipe), --arena (shm), or
-    // --connect (tcp).
-    int planes = (!a.plan_path.empty() ? 1 : 0) +
-                 (!a.arena_path.empty() ? 1 : 0) +
-                 (!a.connect_host.empty() ? 1 : 0);
-    if (planes > 1) {
-      std::fprintf(stderr,
-                   "epa: worker takes exactly one of a plan file, --arena, "
-                   "or --connect\n");
-      return 1;
-    }
-    if (planes == 0) return usage();
-    if (a.drain_delay_ms > 0 && a.checkpoint == 0) {
-      std::fprintf(stderr,
-                   "epa: --drain-delay-ms needs --checkpoint (the delay is "
-                   "applied per checkpoint chunk)\n");
-      return 1;
-    }
-    return guarded([&] { return cmd_worker(a); });
-  }
-  if (cmd == "orchestrate") {
-    OrchestrateArgs a;
-    bool saw_jobs = false, saw_preempt = false, saw_checkpoint = false;
-    bool saw_drain = false, saw_no_cache = false, saw_dir = false;
-    bool saw_listen = false, saw_port_file = false, saw_no_redzone = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--all") {
-        a.all = true;
-      } else if (arg == "--workers") {
-        a.workers = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 1024));
-      } else if (arg == "--lease") {
-        parse_lease_flag(arg, argc, argv, &i, &a.lease, &a.lease_auto);
-      } else if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-        saw_jobs = true;
-      } else if (arg == "--preempt-after") {
-        a.preempt_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-        saw_preempt = true;
-      } else if (arg == "--checkpoint") {
-        a.checkpoint = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-        saw_checkpoint = true;
-      } else if (arg == "--drain-delay-ms") {
-        a.drain_delay_ms = int_flag(arg, argc, argv, &i, 1, 1LL << 20);
-        saw_drain = true;
-      } else if (arg == "--deadman-ms") {
-        a.deadman_ms = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--listen") {
-        a.listen_port =
-            static_cast<int>(int_flag(arg, argc, argv, &i, 0, 65535));
-        saw_listen = true;
-      } else if (arg == "--port-file") {
-        a.port_file = flag_value(arg, argc, argv, &i);
-        saw_port_file = true;
-      } else if (arg == "--data-plane") {
-        a.plane = data_plane_flag(arg, argc, argv, &i);
-      } else if (arg == "--json") {
-        a.as_json = true;
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-        saw_no_cache = true;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-        saw_no_redzone = true;
-      } else if (arg == "--dir") {
-        a.dir = flag_value(arg, argc, argv, &i);
-        saw_dir = true;
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (!starts_with(arg, "--") && a.scenario.empty()) {
-        a.scenario = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    // Exactly one of --all / <scenario> / --scenario-file, like `plan`.
-    if ((a.all ? 1 : 0) + (a.scenario.empty() ? 0 : 1) +
-            (a.scenario_file.empty() ? 0 : 1) !=
-        1)
-      return usage();
-    if (a.plane == DataPlane::tcp) {
-      // tcp workers are started by the operator, not forked by
-      // orchestrate — worker-side flags have nowhere to be forwarded.
-      if (a.all) {
-        std::fprintf(stderr,
-                     "epa: --all needs the pipe or shm data plane (a tcp "
-                     "fleet parses one plan at connect time)\n");
-        return 1;
-      }
-      const char* worker_flag =
-          saw_jobs ? "--jobs"
-          : saw_preempt ? "--preempt-after"
-          : saw_checkpoint ? "--checkpoint"
-          : saw_drain ? "--drain-delay-ms"
-          : saw_no_cache ? "--no-world-cache"
-          : saw_no_redzone ? "--no-redzone"
-          : saw_dir ? "--dir"
-                    : nullptr;
-      if (worker_flag) {
-        std::fprintf(stderr,
-                     "epa: %s is worker-side; pass it to `epa_cli worker "
-                     "--connect` (tcp workers are not spawned by "
-                     "orchestrate)\n",
-                     worker_flag);
-        return 1;
-      }
-    } else {
-      if (saw_listen || saw_port_file) {
-        std::fprintf(stderr, "epa: %s needs --data-plane tcp\n",
-                     saw_listen ? "--listen" : "--port-file");
-        return 1;
-      }
-      if (a.deadman_ms > 0 && a.checkpoint == 0) {
-        std::fprintf(stderr,
-                     "epa: --deadman-ms needs --checkpoint on the pipe/shm "
-                     "data planes (heartbeats are sent at checkpoint "
-                     "flushes)\n");
-        return 1;
-      }
-      if (a.drain_delay_ms > 0 && a.checkpoint == 0) {
-        std::fprintf(stderr,
-                     "epa: --drain-delay-ms needs --checkpoint (the delay "
-                     "is applied per checkpoint chunk)\n");
-        return 1;
-      }
-    }
-    return guarded([&] { return cmd_orchestrate(a, argv[0]); });
-  }
-  if (cmd == "search") {
-    SearchArgs a;
-    bool saw_budget = false, saw_listen = false, saw_port_file = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--budget") {
-        a.budget = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-        saw_budget = true;
-      } else if (arg == "--seed") {
-        a.seed = uint64_flag(arg, argc, argv, &i);
-      } else if (arg == "--batch") {
-        a.batch = int_flag(arg, argc, argv, &i, 1, 1LL << 20);
-      } else if (arg == "--jobs") {
-        a.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-      } else if (arg == "--workers") {
-        a.workers = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 1024));
-      } else if (arg == "--lease") {
-        parse_lease_flag(arg, argc, argv, &i, &a.lease, &a.lease_auto);
-      } else if (arg == "--data-plane") {
-        a.plane = data_plane_flag(arg, argc, argv, &i);
-      } else if (arg == "--listen") {
-        a.listen_port =
-            static_cast<int>(int_flag(arg, argc, argv, &i, 0, 65535));
-        saw_listen = true;
-      } else if (arg == "--port-file") {
-        a.port_file = flag_value(arg, argc, argv, &i);
-        saw_port_file = true;
-      } else if (arg == "--state") {
-        a.state_path = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--resume") {
-        a.resume = true;
-      } else if (arg == "--stop-after") {
-        a.stop_after = int_flag(arg, argc, argv, &i, 1, 1LL << 30);
-      } else if (arg == "--family") {
-        a.family = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--scenario-file") {
-        a.scenario_file = flag_value(arg, argc, argv, &i);
-      } else if (arg == "--json") {
-        a.as_json = true;
-      } else if (arg == "--no-world-cache") {
-        a.use_world_cache = false;
-      } else if (arg == "--no-redzone") {
-        a.use_redzone = false;
-      } else if (arg == "--dir") {
-        a.dir = flag_value(arg, argc, argv, &i);
-      } else if (!starts_with(arg, "--") && a.scenario.empty()) {
-        a.scenario = arg;
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    // Exactly one of <scenario> / --scenario-file / --family.
-    if ((a.scenario.empty() ? 0 : 1) + (a.scenario_file.empty() ? 0 : 1) +
-            (a.family.empty() ? 0 : 1) !=
-        1)
-      return usage();
-    if (!saw_budget) {
-      std::fprintf(stderr,
-                   "epa: search needs --budget N (the total number of "
-                   "injection runs to spend)\n");
-      return 1;
-    }
-    if (a.resume && a.state_path.empty()) {
-      std::fprintf(stderr, "epa: --resume needs --state FILE\n");
-      return 1;
-    }
-    if (!a.family.empty() && (!a.state_path.empty() || a.stop_after > 0)) {
-      // A family search interleaves members through one scorer; a
-      // checkpoint of member N alone could not reproduce that state.
-      std::fprintf(stderr,
-                   "epa: %s works on a single scenario, not --family\n",
-                   a.state_path.empty() ? "--stop-after" : "--state");
-      return 1;
-    }
-    if (a.stop_after > 0 && a.workers > 0) {
-      std::fprintf(stderr,
-                   "epa: --stop-after drives the in-process drain; drop "
-                   "--workers (orchestrated searches checkpoint at every "
-                   "wave barrier anyway)\n");
-      return 1;
-    }
-    if (a.stop_after > 0 && a.state_path.empty()) {
-      std::fprintf(stderr,
-                   "epa: --stop-after needs --state FILE (stopping without "
-                   "a checkpoint would just discard the waves)\n");
-      return 1;
-    }
-    if (a.plane == DataPlane::tcp) {
-      if (a.workers == 0) {
-        std::fprintf(stderr, "epa: --data-plane tcp needs --workers N\n");
-        return 1;
-      }
-      if (!a.family.empty()) {
-        std::fprintf(stderr,
-                     "epa: --family needs the pipe or shm data plane (a tcp "
-                     "fleet parses one plan at connect time)\n");
-        return 1;
-      }
-    } else if (saw_listen || saw_port_file) {
-      std::fprintf(stderr, "epa: %s needs --data-plane tcp\n",
-                   saw_listen ? "--listen" : "--port-file");
-      return 1;
-    }
-    return guarded([&] { return cmd_search(a, argv[0]); });
-  }
-  if (cmd == "merge") {
-    std::string plan_path;
-    std::vector<std::string> shard_paths;
-    bool as_json = false;
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--json") {
-        as_json = true;
-      } else if (!starts_with(arg, "--")) {
-        if (plan_path.empty())
-          plan_path = arg;
-        else
-          shard_paths.push_back(arg);
-      } else {
-        std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-        return usage();
-      }
-    }
-    if (plan_path.empty() || shard_paths.empty()) return usage();
-    return guarded([&] { return cmd_merge(plan_path, shard_paths, as_json); });
-  }
-  if (cmd == "trace") {
-    if (argc < 3) return usage();
-    return cmd_trace(argv[2]);
-  }
-  if (cmd == "compare") {
-    if (argc < 4) return usage();
-    return cmd_compare(argv[2], argv[3]);
-  }
-  if (cmd != "run") return usage();
-
-  core::CampaignOptions opts;
-  bool as_json = false;
-  std::string scenario, scenario_file;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--merge") {
-      opts.merge_equivalent_sites = true;
-    } else if (arg == "--json") {
-      as_json = true;
-    } else if (arg == "--sites") {
-      opts.only_sites = split(flag_value(arg, argc, argv, &i), ',');
-    } else if (arg == "--coverage") {
-      opts.target_interaction_coverage =
-          unit_interval_flag(arg, argc, argv, &i);
-    } else if (arg == "--seed") {
-      opts.seed = uint64_flag(arg, argc, argv, &i);
-    } else if (arg == "--jobs") {
-      opts.jobs = static_cast<int>(int_flag(arg, argc, argv, &i, 1, 4096));
-    } else if (arg == "--scenario-file") {
-      scenario_file = flag_value(arg, argc, argv, &i);
-    } else if (arg == "--no-world-cache") {
-      opts.use_world_cache = false;
-    } else if (arg == "--no-redzone") {
-      opts.use_redzone = false;
-    } else if (!starts_with(arg, "--") && scenario.empty()) {
-      scenario = arg;
-    } else {
-      std::fprintf(stderr, "epa: unknown option '%s'\n", arg.c_str());
-      return usage();
-    }
-  }
-  // Exactly one of <scenario> / --scenario-file.
-  if (scenario.empty() == scenario_file.empty()) return usage();
-  return guarded([&] { return cmd_run(scenario, scenario_file, opts,
-                                      as_json); });
+  return usage();
 }

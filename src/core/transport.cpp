@@ -305,32 +305,9 @@ std::string LocalProcessTransport::self_exe(const char* argv0) {
 
 std::vector<std::string> LocalProcessTransport::worker_args() const {
   std::vector<std::string> args = {"worker", config_.plan_path};
-  append_common_args(args);
+  args.insert(args.end(), config_.worker_flags.begin(),
+              config_.worker_flags.end());
   return args;
-}
-
-void LocalProcessTransport::append_common_args(
-    std::vector<std::string>& args) const {
-  args.push_back("--jobs");
-  args.push_back(std::to_string(config_.jobs));
-  if (!config_.use_world_cache) args.push_back("--no-world-cache");
-  if (!config_.use_redzone) args.push_back("--no-redzone");
-  if (config_.preempt_after > 0) {
-    args.push_back("--preempt-after");
-    args.push_back(std::to_string(config_.preempt_after));
-  }
-  if (config_.checkpoint > 0) {
-    args.push_back("--checkpoint");
-    args.push_back(std::to_string(config_.checkpoint));
-  }
-  if (config_.drain_delay_ms > 0) {
-    args.push_back("--drain-delay-ms");
-    args.push_back(std::to_string(config_.drain_delay_ms));
-  }
-  if (!config_.scenario_file.empty()) {
-    args.push_back("--scenario-file");
-    args.push_back(config_.scenario_file);
-  }
 }
 
 std::optional<std::size_t> LocalProcessTransport::spawn() {
@@ -444,7 +421,8 @@ ShmLocalTransport::ShmLocalTransport(LocalProcessConfig config,
 
 std::vector<std::string> ShmLocalTransport::worker_args() const {
   std::vector<std::string> args = {"worker", "--arena", arena_.path()};
-  append_common_args(args);
+  args.insert(args.end(), config().worker_flags.begin(),
+              config().worker_flags.end());
   return args;
 }
 

@@ -162,32 +162,10 @@ struct LocalProcessConfig {
   std::string out_dir;
   /// The shm transport's arena is <out_dir>/<file_prefix>.arena.
   std::string file_prefix = "plan";
-  /// --jobs forwarded to each worker.
-  int jobs = 1;
-  /// --no-world-cache forwarded when false.
-  bool use_world_cache = true;
-  /// --no-redzone forwarded when false (the redzone memory oracle is on
-  /// by default; see os/redzone.hpp).
-  bool use_redzone = true;
-  /// --preempt-after forwarded when > 0: each worker self-preempts
-  /// (exit 4) — after serving N leases, or, with `checkpoint` set, after
-  /// N checkpoint flushes (which lands the preemption *mid-lease*). The
-  /// CI determinism hook for the kill-and-re-lease path.
-  long long preempt_after = 0;
-  /// --checkpoint forwarded when > 0: workers drain leases in chunks of
-  /// K items, send a PING heartbeat after each chunk (the shm plane also
-  /// flushes a valid partial report into the lease's segment), and poll
-  /// for STEAL — checkpointing is what makes the deadman and work
-  /// stealing live.
-  long long checkpoint = 0;
-  /// --drain-delay-ms forwarded when > 0: each worker sleeps this long
-  /// before every checkpoint chunk. A testing hook that manufactures
-  /// deterministic stragglers for the work-stealing path.
-  long long drain_delay_ms = 0;
-  /// --scenario-file forwarded when set: workers compile the declarative
-  /// spec instead of resolving the plan's scenario name through the
-  /// registry — how an orchestrated run drives a spec-file-only scenario.
-  std::string scenario_file;
+  /// Appended verbatim to every worker's argv: the worker-side flags the
+  /// coordinator was given. Which flags those are, and how they are
+  /// spelled, is the CLI's decision; the transport never parses them.
+  std::vector<std::string> worker_flags;
 };
 
 /// The pipe data plane: `epa_cli worker PLAN` processes forked with
@@ -213,13 +191,10 @@ class LocalProcessTransport : public FramedTransport {
   static std::string self_exe(const char* argv0);
 
  protected:
-  /// Worker argv after the binary path. Base: worker <plan> --jobs N
-  /// [...]; the shm transport substitutes --arena for the plan file.
+  /// Worker argv after the binary path: `worker <plan>`, then
+  /// worker_flags; the shm transport substitutes `--arena <file>` for the
+  /// plan file.
   virtual std::vector<std::string> worker_args() const;
-  /// Common flags (--jobs, --no-world-cache, --no-redzone,
-  /// --preempt-after, --checkpoint, --drain-delay-ms, --scenario-file)
-  /// every data plane forwards.
-  void append_common_args(std::vector<std::string>& args) const;
   WorkerEvent reap(std::size_t worker) override;
 
   const LocalProcessConfig& config() const { return config_; }

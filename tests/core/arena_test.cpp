@@ -231,6 +231,7 @@ TEST(ShmTransport, ArenaMatchesTheLeasePartition) {
   cfg.epa_cli = "/bin/false";  // never spawned in this test
   cfg.out_dir = ::testing::TempDir();
   cfg.file_prefix = "epa_shm_test";
+  cfg.worker_flags = {"--jobs", "4", "--checkpoint", "1"};
   ExposedShm t(cfg, plan, partition);
   EXPECT_EQ(t.arena_path(), cfg.out_dir + "/epa_shm_test.arena");
 
@@ -243,13 +244,12 @@ TEST(ShmTransport, ArenaMatchesTheLeasePartition) {
             plan.to_json());
 
   // The data plane's protocol tokens: leases are named by segment, the
-  // worker argv points at the arena instead of a plan file.
+  // worker argv points at the arena instead of a plan file, and the
+  // worker flags follow verbatim.
   EXPECT_EQ(t.lease_token(partition[1]), "@1");
-  std::vector<std::string> args = t.worker_args();
-  ASSERT_GE(args.size(), 3u);
-  EXPECT_EQ(args[0], "worker");
-  EXPECT_EQ(args[1], "--arena");
-  EXPECT_EQ(args[2], t.arena_path());
+  EXPECT_EQ(t.worker_args(),
+            (std::vector<std::string>{"worker", "--arena", t.arena_path(),
+                                      "--jobs", "4", "--checkpoint", "1"}));
   std::remove(t.arena_path().c_str());
 }
 

@@ -319,17 +319,13 @@ enum class DataPlane { json, shm, tcp };
 /// there is no merge-side plan re-parse. Three data planes:
 /// DataPlane::json is a codec simulation — plan and lease reports as
 /// JSON strings; no transport ships reports as JSON.
-/// DataPlane::shm is the arena
-/// (core/arena.hpp): the plan one binary frame workers decode from
-/// their own mapping of the arena file, every lease report a binary
-/// frame written into the lease's own segment and decoded from the
-/// coordinator's mapping — zero copies, no per-lease files.
-/// DataPlane::tcp is the worker-session framing (core/protocol.hpp)
-/// over a socketpair — the same syscalls and copies a loopback
-/// connection pays: the plan pushed to each worker as one
-/// length-prefixed binary frame, each lease answered by a DONE control
-/// frame plus the binary report frame, reassembled through FrameBuffer
-/// on the receiving side.
+/// DataPlane::shm and DataPlane::tcp both return each lease report in
+/// the worker-session framing (core/protocol.hpp) over a socketpair: a
+/// DONE control frame plus the binary report frame, reassembled through
+/// FrameBuffer on the receiving side. They differ in how the plan
+/// reaches a worker. shm: one binary plan in the arena (core/arena.hpp),
+/// decoded from each worker's own mapping of the file. tcp: the plan
+/// pushed to each worker as one length-prefixed binary frame.
 double orchestrated_scenario_seconds(const core::Scenario& scenario,
                                      int workers, int leases_per_worker,
                                      DataPlane plane,
@@ -345,21 +341,18 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
   const std::size_t n = plan.items.size();
   const std::size_t lease_items = std::max<std::size_t>(
       1, n / static_cast<std::size_t>(workers * leases_per_worker));
-  const std::size_t lease_count = (n + lease_items - 1) / lease_items;
 
   std::string plan_json;
-  std::optional<core::ShmArena> coord, worker_side;
+  std::optional<core::ShmArena> worker_side;
   int sp[2] = {-1, -1};  // [0] coordinator end, [1] worker end
   core::FrameBuffer coord_fb, worker_fb;
+  const bool framed = shm || tcp;
+  if (framed && ::socketpair(AF_UNIX, SOCK_STREAM, 0, sp) != 0) return 0.0;
   if (shm) {
-    coord.emplace(core::ShmArena::create(
-        arena_path, core::plan_to_binary(plan), lease_count,
-        core::arena_segment_bytes(lease_items)));
+    (void)core::ShmArena::create(arena_path, core::plan_to_binary(plan));
     // The worker side maps the file itself, like a real worker process.
     worker_side.emplace(core::ShmArena::open(arena_path));
-  } else if (tcp) {
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sp) != 0) return 0.0;
-  } else {
+  } else if (!tcp) {
     plan_json = plan.to_json();
   }
   // One plan decode + one re-freeze per persistent worker, not per
@@ -390,17 +383,9 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
     core::ShardReport report =
         core::run_lease(executor, worker_plans[w], begin,
                         std::min(begin + lease_items, n));
-    if (shm) {
-      std::string frame = core::shard_report_to_binary(report);
-      std::memcpy(worker_side->segment(lease_seq), frame.data(),
-                  frame.size());
-      acc->wire_bytes += frame.size();
-      // Coordinator side: decode from its own mapping — zero copies.
-      leases.push_back(core::shard_report_from_binary(
-          coord->segment(lease_seq), frame.size()));
-    } else if (tcp) {
+    if (framed) {
       // Worker end: DONE control frame, then the binary report frame —
-      // the tcp plane's per-lease handoff, end to end.
+      // every framed plane's per-lease handoff, end to end.
       std::string frame = core::shard_report_to_binary(report);
       core::send_frame(
           sp[1], core::format_done(begin, std::min(begin + lease_items, n)));
@@ -422,7 +407,7 @@ double orchestrated_scenario_seconds(const core::Scenario& scenario,
   auto merged = core::merge_shard_reports(plan, leases);
   acc->runs += merged.n();
   benchmark::DoNotOptimize(merged);
-  if (tcp) {
+  if (framed) {
     ::close(sp[0]);
     ::close(sp[1]);
   }
@@ -580,8 +565,8 @@ void write_sweep_json(const char* path) {
   // number, but persistent workers amortize the plan parse + re-freeze
   // across ~4 leases each, and the coordinator never re-parses the plan.
   // Measured over the data planes, interleaved: JSON strings (a codec
-  // simulation) and the zero-copy shm arena — binary frames in
-  // a mmap'd file instead of JSON report files. binary_wire_bytes /
+  // simulation), the shm arena (a mapped binary plan) and tcp (a plan
+  // frame), both returning binary report frames. binary_wire_bytes /
   // orchestrated_wire_bytes is the codec's size win; the overhead delta
   // is the whole data plane's win.
   constexpr int kOrchLeasesPerWorker = 4;
@@ -764,7 +749,7 @@ void write_sweep_json(const char* path) {
       "cached serial; %d leases, %zu report bytes; persistent workers "
       "parse+refreeze once)\n"
       "  shm orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
-      "serial; %d leases, %zu binary report bytes in the arena)\n"
+      "serial; %d leases, %zu framed bytes; plan from the arena)\n"
       "  tcp orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
       "serial; %d leases, %zu framed bytes through the socketpair)\n"
       "  binary codec      : %8.1f outcomes/sec through encode+decode\n"

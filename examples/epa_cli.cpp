@@ -62,6 +62,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -1009,7 +1010,6 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
   const long long checkpoint = a.num("--checkpoint", 0);
   const long long preempt_after = a.num("--preempt-after", 0);
   const long long drain_delay_ms = a.num("--drain-delay-ms", 0);
-  std::optional<core::ShmArena> arena;
   core::InjectionPlan plan;
   std::string plan_src;
   if (a.has("--connect")) {
@@ -1026,9 +1026,9 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
     }
   } else if (a.has("--arena")) {
     plan_src = a.text("--arena");
-    arena.emplace(core::ShmArena::open(plan_src));
+    const core::ShmArena arena = core::ShmArena::open(plan_src);
     try {
-      plan = core::plan_from_binary(arena->plan_data(), arena->plan_size());
+      plan = core::plan_from_binary(arena.plan_data(), arena.plan_size());
     } catch (const core::WireError& e) {
       throw std::runtime_error(plan_src + ": " + e.what());
     }
@@ -1103,24 +1103,13 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
       return 1;
     }
     std::size_t begin = msg.begin, end = msg.end;
-    // The report target: `-` (the report follows DONE as a frame) or,
-    // on the shm plane, `@<seq>` (the lease's arena segment).
-    const std::string& target = msg.target;
-    std::size_t seq = 0;
-    bool target_ok = !arena && target == "-";
-    if (arena && target.size() > 1 && target[0] == '@' &&
-        std::isdigit(static_cast<unsigned char>(target[1]))) {
-      errno = 0;
-      char* tok_end = nullptr;
-      seq = std::strtoull(target.c_str() + 1, &tok_end, 10);
-      target_ok = errno != ERANGE && *tok_end == '\0';
-    }
-    if (!target_ok) {
+    // The report target: on every plane the report follows DONE as a
+    // frame.
+    if (msg.target != "-") {
       std::fprintf(stderr,
-                   "epa: worker: lease target must be %s, got '%s'\n",
-                   arena ? "@<seq> (an arena segment)"
-                         : "'-' (the report returns as a frame)",
-                   target.c_str());
+                   "epa: worker: lease target must be '-' (the report "
+                   "returns as a frame), got '%s'\n",
+                   msg.target.c_str());
       return 1;
     }
     if (g_preempted) {
@@ -1129,25 +1118,6 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
                    begin, end);
       return 4;  // the orchestrator re-leases [begin, end)
     }
-
-    // The shm plane lands partial and final reports in the lease's
-    // segment, bounds-checked first: a report that outgrows its
-    // segment is a clean worker failure, never a neighboring lease's
-    // bytes overwritten. The other planes send the finished report as
-    // the frame after DONE.
-    std::size_t flushed_bytes = 0;
-    auto flush = [&](const core::ShardReport& r) {
-      if (!arena) return;
-      std::string bin = core::shard_report_to_binary(r);
-      if (bin.size() > arena->segment_bytes())
-        throw std::runtime_error(
-            "worker: lease " + std::to_string(seq) + " report (" +
-            std::to_string(bin.size()) +
-            " bytes) exceeds the arena segment capacity (" +
-            std::to_string(arena->segment_bytes()) + " bytes)");
-      std::memcpy(arena->segment(seq), bin.data(), bin.size());
-      flushed_bytes = bin.size();
-    };
 
     bool steal_requested = false;
     std::size_t chunks = 0;
@@ -1172,15 +1142,15 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
         // split point must sit strictly inside the lease.
         return steal_requested && chunks > 0;
       };
-      hooks.on_checkpoint = [&](const core::ShardReport& r) {
+      hooks.on_checkpoint = [&](const core::ShardReport&) {
         ++chunks;
-        flush(r);
         // Heartbeat at every checkpoint: the coordinator's deadman
         // only trusts a worker it has heard from recently.
         chan.send(core::format_ping());
         // CI determinism hook (--checkpoint mode): preempt mid-lease
-        // at the Nth flush, counted across the worker's whole lifetime
-        // so replacements make progress before being preempted too.
+        // at the Nth checkpoint, counted across the worker's whole
+        // lifetime so replacements make progress before being preempted
+        // too.
         if (preempt_after > 0 && ++flushes >= preempt_after)
           (void)std::raise(SIGTERM);
       };
@@ -1188,10 +1158,8 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
     core::ShardReport report =
         core::run_lease(executor, plan, begin, end, opts, hooks);
     if (!report.complete && g_preempted) {
-      // Preempted mid-lease: flush the partial (shm, for post-mortems;
-      // the orchestrator re-drains the whole range) and exit *without*
-      // DONE — a DONE always names a complete report.
-      flush(report);
+      // Preempted mid-lease: exit *without* DONE — a DONE always names
+      // a complete report; the orchestrator re-drains the whole range.
       std::fprintf(stderr,
                    "epa: worker preempted mid-lease; [%zu, %zu) will be "
                    "re-leased\n",
@@ -1212,16 +1180,8 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
                    mid, end, begin, end);
       end = mid;
     }
-    if (arena) {
-      // Flush *before* DONE: a DONE always names a readable, complete
-      // report, even if this worker dies right after.
-      flush(report);
-      chan.send(core::format_done(begin, end, arena->segment_offset(seq),
-                                  flushed_bytes));
-    } else {
-      chan.send(core::format_done(begin, end));
-      chan.send(core::shard_report_to_binary(report));
-    }
+    chan.send(core::format_done(begin, end));
+    chan.send(core::shard_report_to_binary(report));
     ++*done;
     // CI determinism hook (lease mode): deliver the preemption signal
     // to ourselves after N served leases, through the real handler.
@@ -1250,15 +1210,13 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
 /// worker keeps the drained prefix [begin, mid) and the coordinator
 /// re-leases the tail to an idle worker.
 ///
-/// Where the plan comes from and where lease reports go:
-///   plan file  LEASE target `-`: each DONE is followed by the lease's
-///              binary report frame.
-///   --arena    the arena's binary plan region (core/arena.hpp); LEASE
-///              target `@<seq>` names the lease's segment, reports (and
-///              checkpoint partials) are encoded straight into it, and
-///              DONE carries the (offset, length) handoff.
+/// Every lease is `LEASE <begin> <end> -`, and each DONE is followed by
+/// the lease's binary report frame. Only where the plan comes from
+/// differs:
+///   plan file  parsed from the file (JSON or binary).
+///   --arena    decoded from the arena's mapping (core/arena.hpp).
 ///   --connect  HELLO up, the binary plan down as the first frame, then
-///              the plan-file exchange over the socket.
+///              the same exchange over the socket.
 int cmd_worker(const Args& a) {
   const bool use_tcp = a.has("--connect");
   const std::string target = a.text("--connect");
@@ -1298,23 +1256,44 @@ DataPlane data_plane(const Args& a) {
 }
 
 /// Where a local fleet's plan and arena files go: --dir (created if
-/// missing), or a fresh $TMPDIR/epa-<command>.XXXXXX.
-std::string fleet_dir(const Args& a) {
-  const std::string dir = a.text("--dir");
-  if (dir.empty()) {
-    const char* tmp = std::getenv("TMPDIR");
-    std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") + "/epa-" +
-                       a.cmd->name + ".XXXXXX";
-    if (!::mkdtemp(tmpl.data()))
-      throw std::runtime_error(std::string("cannot create temp dir: ") +
-                               std::strerror(errno));
-    return tmpl;
+/// missing, and left as it is), or a fresh $TMPDIR/epa-<command>.XXXXXX
+/// that is removed with everything in it when the fleet is done —
+/// success or error. Nothing at all unless `needed` (the tcp plane and
+/// in-process search write no files).
+class FleetDir {
+ public:
+  FleetDir(const Args& a, bool needed) {
+    if (!needed) return;
+    path_ = a.text("--dir");
+    if (path_.empty()) {
+      const char* tmp = std::getenv("TMPDIR");
+      std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") + "/epa-" +
+                         a.cmd->name + ".XXXXXX";
+      if (!::mkdtemp(tmpl.data()))
+        throw std::runtime_error(std::string("cannot create temp dir: ") +
+                                 std::strerror(errno));
+      path_ = tmpl;
+      owned_ = true;
+    } else if (::mkdir(path_.c_str(), 0777) != 0 && errno != EEXIST) {
+      throw std::runtime_error("cannot create '" + path_ +
+                               "': " + std::strerror(errno));
+    }
   }
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST)
-    throw std::runtime_error("cannot create '" + dir +
-                             "': " + std::strerror(errno));
-  return dir;
-}
+  ~FleetDir() {
+    std::error_code ec;  // best effort: never throw out of a destructor
+    if (owned_) std::filesystem::remove_all(path_, ec);
+  }
+  FleetDir(const FleetDir&) = delete;
+  FleetDir& operator=(const FleetDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  /// True when the files stay behind for the user (--dir).
+  bool kept() const { return !owned_ && !path_.empty(); }
+
+ private:
+  std::string path_;
+  bool owned_ = false;
+};
 
 /// Plan `scenario` in-process, timing it. Planning runs the scenario
 /// once (the trace run), so the wall time is a live sample of roughly
@@ -1341,8 +1320,8 @@ core::InjectionPlan timed_plan(const core::Scenario& scenario,
 /// only scheduling granularity moves.
 std::size_t auto_lease_items(std::size_t plan_items, int workers,
                              double plan_ms) {
-  const std::size_t grain = std::max<std::size_t>(
-      1, plan_items / (static_cast<std::size_t>(workers) * 4));
+  const std::size_t grain =
+      core::auto_lease_grain(plan_items, static_cast<std::size_t>(workers));
   const double per_item_ms = plan_ms / 2.0;  // trace ~ build + one run
   if (per_item_ms <= 0.0) return grain;
   const double by_cost = 250.0 / per_item_ms;
@@ -1375,11 +1354,10 @@ core::OrchestratorOptions fleet_options(const Args& a,
 /// The transport for one fleet draining `plan`. tcp listens for
 /// `workers` dial-ins; pipe and shm fork workers that receive the
 /// command line's worker flags, with the plan written to `dir` as JSON
-/// (pipe) or frozen into an arena there with one segment per lease seq
-/// in `leases` (shm).
+/// (pipe) or frozen into a binary arena there (shm).
 std::unique_ptr<core::Transport> make_transport(
     const Args& a, int workers, const std::string& dir,
-    const core::InjectionPlan& plan, const std::vector<core::Lease>& leases) {
+    const core::InjectionPlan& plan) {
   const DataPlane plane = data_plane(a);
   if (plane == DataPlane::tcp) {
     net::TcpTransportConfig tcfg;
@@ -1399,7 +1377,7 @@ std::unique_ptr<core::Transport> make_transport(
   cfg.file_prefix = plan.scenario_name;
   cfg.worker_flags = a.worker_flags;
   if (plane == DataPlane::shm)
-    return std::make_unique<core::ShmLocalTransport>(cfg, plan, leases);
+    return std::make_unique<core::ShmLocalTransport>(cfg, plan);
   cfg.plan_path = dir + "/" + plan.scenario_name + ".plan.json";
   write_file(cfg.plan_path, plan.to_json());
   return std::make_unique<core::LocalProcessTransport>(cfg);
@@ -1439,8 +1417,7 @@ int cmd_orchestrate(const Args& a) {
   std::vector<core::Scenario> scenarios = select_scenarios(a);
   if (scenarios.empty()) return 1;
   const DataPlane plane = data_plane(a);
-  // The tcp plane moves no files; nothing to create.
-  const std::string dir = plane == DataPlane::tcp ? "" : fleet_dir(a);
+  const FleetDir dir(a, plane != DataPlane::tcp);
 
   core::SweepResult sweep;
   for (const core::Scenario& scenario : scenarios) {
@@ -1453,21 +1430,17 @@ int cmd_orchestrate(const Args& a) {
     core::InjectionPlan plan = timed_plan(scenario, popts, &plan_ms);
     core::OrchestratorOptions oopts =
         fleet_options(a, scenario.name, plan.items.size(), plan_ms);
-    // The shm arena is sized against the exact lease partition
-    // orchestrate() will schedule (plus the stolen-tail reserve).
-    std::unique_ptr<core::Transport> transport = make_transport(
-        a, oopts.workers, dir, plan,
-        plane == DataPlane::shm
-            ? core::lease_partition(plan.items.size(), oopts)
-            : std::vector<core::Lease>{});
+    std::unique_ptr<core::Transport> transport =
+        make_transport(a, oopts.workers, dir.path(), plan);
     core::OrchestratorStats stats;
     sweep.results.push_back(
         core::orchestrate(plan, *transport, oopts, &stats));
     report_fleet(a, scenario.name, oopts, stats);
   }
-  if (plane != DataPlane::tcp)
+  if (dir.kept())
     std::fprintf(stderr, "epa orchestrate: %s files in %s\n",
-                 plane == DataPlane::shm ? "arena" : "plan", dir.c_str());
+                 plane == DataPlane::shm ? "arena" : "plan",
+                 dir.path().c_str());
   report_coverage(a, sweep, "");
   if (a.has("--all")) return print_sweep(sweep, a.has("--json"));
   return print_result(sweep.results.front(), a.has("--json"));
@@ -1487,9 +1460,7 @@ int cmd_search(const Args& a) {
   std::vector<core::Scenario> scenarios = select_scenarios(a);
   if (scenarios.empty()) return 1;
   const bool orchestrated = a.has("--workers");
-  const DataPlane plane = data_plane(a);
-  const std::string dir =
-      orchestrated && plane != DataPlane::tcp ? fleet_dir(a) : "";
+  const FleetDir dir(a, orchestrated && data_plane(a) != DataPlane::tcp);
   const std::string state_path = a.text("--state");
   const std::size_t budget = static_cast<std::size_t>(a.num("--budget", 0));
 
@@ -1556,24 +1527,8 @@ int cmd_search(const Args& a) {
       core::OrchestratorOptions oopts =
           fleet_options(a, scenario.name, sopts.batch, plan_ms);
       const std::size_t known = source.plan().items.size();
-      // The shm arena needs a segment per lease seq up front, but search
-      // leases are cut per wave as items are generated. Bound the seq
-      // space instead of enumerating it: every lease covers at least one
-      // item and the stream is capped at the budget, so budget leases
-      // (the ctor adds the stolen-tail reserve) of the grain's span each
-      // cover the worst case.
-      std::vector<core::Lease> synth;
-      if (plane == DataPlane::shm) {
-        const std::size_t max_lease = std::max<std::size_t>(
-            1, std::min(oopts.lease_items,
-                        std::min(sopts.batch,
-                                 std::max<std::size_t>(member_budget, 1))));
-        for (std::size_t s = 0; s < std::max<std::size_t>(member_budget, 1);
-             ++s)
-          synth.push_back({s, 0, max_lease});
-      }
       std::unique_ptr<core::Transport> transport =
-          make_transport(a, oopts.workers, dir, source.plan(), synth);
+          make_transport(a, oopts.workers, dir.path(), source.plan());
       core::OrchestratorStats stats;
       result = core::orchestrate_source(source, *transport, oopts, &stats,
                                         known);

@@ -19,14 +19,13 @@
 #                   localhost — the remote fan-out, end to end, on one
 #                   machine
 #   -B              alias of -D shm, kept from before the data planes
-#                   were an enum: orchestrate over the mmap'd arena —
-#                   no JSON between the processes at all
+#                   were an enum: workers map one binary plan arena
+#                   instead of each parsing a JSON plan file
 #   -c CHECKPOINT   flush a resumable partial report every K outcomes; a
 #                   worker that exits 4 (preempted, e.g. SIGTERM) is
 #                   automatically completed with run-shard --resume
 #                   (with -O/-D: workers checkpoint mid-lease — a
-#                   heartbeat each chunk, a partial report frame into
-#                   the arena with -D shm — and preemption re-leases the
+#                   heartbeat each chunk — and preemption re-leases the
 #                   unfinished range)
 #   -P PREEMPT      self-preempt each worker after N checkpoint flushes
 #                   (with -O/-D and no -c: after N served leases;
@@ -100,9 +99,9 @@ fi
 # first-worker failure left the rest writing into $outdir after the
 # script had already reported failure. Reaped pids are cleared from the
 # array so the trap never signals a recycled pid. A failed run must also
-# not strand mmap'd arena files (-B): unlike shard JSON they are
-# per-run scratch, not resumable artifacts, so unlink them on any exit
-# that is not a campaign result (0 clean, 3 findings).
+# not strand the mmap'd plan arena (-B): unlike shard JSON it is per-run
+# scratch, not a resumable artifact, so unlink it on any exit that is not
+# a campaign result (0 clean, 3 findings).
 pids=()
 cleanup() {
   local rc=$? pid
@@ -163,10 +162,10 @@ fi
 
 # -O/-B: hand the whole pipeline to the orchestrator — dynamic id-range
 # leases over persistent workers, preempted leases re-leased
-# automatically. -n is the worker count; the plan file (or the shm
+# automatically. -n is the worker count; the plan file (or the shm plan
 # arena, with -B) lands in OUTDIR like the shard files below would. Lease
-# reports return to the coordinator over the worker's framed session
-# (or through the arena) and are never written as files.
+# reports return to the coordinator over the worker's framed session on
+# every plane and are never written as files.
 if [ -n "$orchestrate" ]; then
   orch_flags=()
   [ -n "$data_plane" ] && orch_flags+=(--data-plane "$data_plane")
@@ -179,7 +178,7 @@ if [ -n "$orchestrate" ]; then
   # 3 = candidate vulnerabilities: a finding, not a pipeline failure.
   [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ] || exit "$rc"
   if [ "$data_plane" = shm ]; then
-    echo "plan+report arena in $outdir" >&2
+    echo "plan arena in $outdir" >&2
   else
     echo "plan file in $outdir" >&2
   fi

@@ -13,20 +13,14 @@ namespace ep::core {
 
 namespace {
 
-// Header layout (64 bytes):
+// Header layout (kHeaderBytes = 24), then the plan to the end of file:
 //   0  magic "EPARENA1"
 //   8  u32 byte-order tag
 //  12  u32 version
 //  16  u64 total bytes (must equal the file size)
-//  24  u64 plan offset   (always kHeaderBytes)
-//  32  u64 plan length
-//  40  u64 segment count
-//  48  u64 segment bytes
-//  56  u64 segments offset (always plan offset + plan length)
 constexpr char kMagic[8] = {'E', 'P', 'A', 'R', 'E', 'N', 'A', '1'};
 constexpr std::uint32_t kEndianTag = 0x0A0B0C0D;
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 64;
+constexpr std::uint32_t kVersion = 2;
 
 [[noreturn]] void fail(const std::string& path, const std::string& msg) {
   throw ArenaError("arena '" + path + "': " + msg);
@@ -41,19 +35,8 @@ std::uint32_t bswap32(std::uint32_t v) {
          (v << 24);
 }
 
-void put_u32(std::uint8_t* p, std::size_t off, std::uint32_t v) {
-  std::memcpy(p + off, &v, sizeof v);
-}
-void put_u64(std::uint8_t* p, std::size_t off, std::uint64_t v) {
-  std::memcpy(p + off, &v, sizeof v);
-}
 std::uint32_t get_u32(const std::uint8_t* p, std::size_t off) {
   std::uint32_t v;
-  std::memcpy(&v, p + off, sizeof v);
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p, std::size_t off) {
-  std::uint64_t v;
   std::memcpy(&v, p + off, sizeof v);
   return v;
 }
@@ -61,21 +44,12 @@ std::uint64_t get_u64(const std::uint8_t* p, std::size_t off) {
 }  // namespace
 
 ShmArena ShmArena::create(const std::string& path,
-                          const std::string& plan_binary,
-                          std::size_t segment_count,
-                          std::size_t segment_bytes) {
-  if (segment_count > 0 && segment_bytes == 0)
-    fail(path, "segment_bytes must be > 0 when segments exist");
+                          const std::string& plan_binary) {
   ShmArena a;
   a.path_ = path;
   a.fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0600);
   if (a.fd_ < 0) sys_fail(path, "open");
-  a.plan_offset_ = kHeaderBytes;
-  a.plan_length_ = plan_binary.size();
-  a.segments_offset_ = a.plan_offset_ + a.plan_length_;
-  a.segment_count_ = segment_count;
-  a.segment_bytes_ = segment_bytes;
-  a.size_ = a.segments_offset_ + segment_count * segment_bytes;
+  a.size_ = kHeaderBytes + plan_binary.size();
   if (::ftruncate(a.fd_, static_cast<off_t>(a.size_)) < 0)
     sys_fail(path, "ftruncate");
   void* map = ::mmap(nullptr, a.size_, PROT_READ | PROT_WRITE, MAP_SHARED,
@@ -83,24 +57,19 @@ ShmArena ShmArena::create(const std::string& path,
   if (map == MAP_FAILED) sys_fail(path, "mmap");
   a.map_ = static_cast<std::uint8_t*>(map);
 
+  const std::uint64_t total = a.size_;
   std::memcpy(a.map_, kMagic, sizeof kMagic);
-  put_u32(a.map_, 8, kEndianTag);
-  put_u32(a.map_, 12, kVersion);
-  put_u64(a.map_, 16, a.size_);
-  put_u64(a.map_, 24, a.plan_offset_);
-  put_u64(a.map_, 32, a.plan_length_);
-  put_u64(a.map_, 40, a.segment_count_);
-  put_u64(a.map_, 48, a.segment_bytes_);
-  put_u64(a.map_, 56, a.segments_offset_);
-  std::memcpy(a.map_ + a.plan_offset_, plan_binary.data(),
-              plan_binary.size());
+  std::memcpy(a.map_ + 8, &kEndianTag, sizeof kEndianTag);
+  std::memcpy(a.map_ + 12, &kVersion, sizeof kVersion);
+  std::memcpy(a.map_ + 16, &total, sizeof total);
+  std::memcpy(a.map_ + kHeaderBytes, plan_binary.data(), plan_binary.size());
   return a;
 }
 
 ShmArena ShmArena::open(const std::string& path) {
   ShmArena a;
   a.path_ = path;
-  a.fd_ = ::open(path.c_str(), O_RDWR);
+  a.fd_ = ::open(path.c_str(), O_RDONLY);
   if (a.fd_ < 0) sys_fail(path, "open");
   struct stat st;
   if (::fstat(a.fd_, &st) < 0) sys_fail(path, "fstat");
@@ -109,8 +78,7 @@ ShmArena ShmArena::open(const std::string& path) {
     fail(path, "truncated header (file holds " + std::to_string(a.size_) +
                    " bytes, need at least " + std::to_string(kHeaderBytes) +
                    ")");
-  void* map = ::mmap(nullptr, a.size_, PROT_READ | PROT_WRITE, MAP_SHARED,
-                     a.fd_, 0);
+  void* map = ::mmap(nullptr, a.size_, PROT_READ, MAP_SHARED, a.fd_, 0);
   if (map == MAP_FAILED) sys_fail(path, "mmap");
   a.map_ = static_cast<std::uint8_t*>(map);
 
@@ -128,31 +96,19 @@ ShmArena ShmArena::open(const std::string& path) {
   if (version != kVersion)
     fail(path, "unsupported arena version " + std::to_string(version) +
                    " (this build reads " + std::to_string(kVersion) + ")");
-  std::uint64_t total = get_u64(a.map_, 16);
+  std::uint64_t total;
+  std::memcpy(&total, a.map_ + 16, sizeof total);
   if (total != a.size_)
     fail(path, "declares " + std::to_string(total) + " bytes but the file "
                    "holds " + std::to_string(a.size_) + " (truncated?)");
-  a.plan_offset_ = static_cast<std::size_t>(get_u64(a.map_, 24));
-  a.plan_length_ = static_cast<std::size_t>(get_u64(a.map_, 32));
-  a.segment_count_ = static_cast<std::size_t>(get_u64(a.map_, 40));
-  a.segment_bytes_ = static_cast<std::size_t>(get_u64(a.map_, 48));
-  a.segments_offset_ = static_cast<std::size_t>(get_u64(a.map_, 56));
-  // The canonical layout is header | plan | segments, exactly covering
-  // the file; anything else means a corrupt or foreign writer.
-  if (a.plan_offset_ != kHeaderBytes ||
-      a.plan_length_ > a.size_ - a.plan_offset_ ||
-      a.segments_offset_ != a.plan_offset_ + a.plan_length_)
-    fail(path, "plan region does not fit the file");
-  if (a.segment_count_ > 0 && a.segment_bytes_ == 0)
-    fail(path, "segment_bytes is 0 with segments present");
-  if (a.segment_bytes_ != 0 &&
-      (a.segment_count_ > (a.size_ - a.segments_offset_) / a.segment_bytes_ ||
-       a.segments_offset_ + a.segment_count_ * a.segment_bytes_ != a.size_))
-    fail(path, "segment region does not fit the file");
-  if (a.segment_bytes_ == 0 && a.segments_offset_ != a.size_)
-    fail(path, "segment region does not fit the file");
   return a;
 }
+
+const std::uint8_t* ShmArena::plan_data() const {
+  return map_ + kHeaderBytes;
+}
+
+std::size_t ShmArena::plan_size() const { return size_ - kHeaderBytes; }
 
 ShmArena::ShmArena(ShmArena&& other) noexcept { *this = std::move(other); }
 
@@ -163,11 +119,6 @@ ShmArena& ShmArena::operator=(ShmArena&& other) noexcept {
     fd_ = other.fd_;
     map_ = other.map_;
     size_ = other.size_;
-    plan_offset_ = other.plan_offset_;
-    plan_length_ = other.plan_length_;
-    segments_offset_ = other.segments_offset_;
-    segment_count_ = other.segment_count_;
-    segment_bytes_ = other.segment_bytes_;
     other.fd_ = -1;
     other.map_ = nullptr;
     other.size_ = 0;
@@ -183,30 +134,6 @@ void ShmArena::close() noexcept {
   map_ = nullptr;
   fd_ = -1;
   size_ = 0;
-}
-
-std::size_t ShmArena::segment_offset(std::size_t seq) const {
-  if (seq >= segment_count_)
-    fail(path_, "segment " + std::to_string(seq) + " out of range (arena "
-                    "holds " + std::to_string(segment_count_) + ")");
-  return segments_offset_ + seq * segment_bytes_;
-}
-
-std::uint8_t* ShmArena::segment(std::size_t seq) {
-  return map_ + segment_offset(seq);
-}
-
-void ShmArena::check_handoff(std::size_t seq, std::size_t offset,
-                             std::size_t length) const {
-  std::size_t expect = segment_offset(seq);
-  if (offset != expect)
-    fail(path_, "DONE handoff names offset " + std::to_string(offset) +
-                    " but lease " + std::to_string(seq) +
-                    "'s segment starts at " + std::to_string(expect));
-  if (length > segment_bytes_)
-    fail(path_, "DONE handoff names " + std::to_string(length) +
-                    " bytes but segments hold at most " +
-                    std::to_string(segment_bytes_));
 }
 
 }  // namespace ep::core

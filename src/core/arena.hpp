@@ -1,28 +1,13 @@
-// The same-host shared-memory data plane (docs/WIRE_FORMAT.md, "Binary
-// encoding"): one mmap'd file shared by the coordinator and its worker
-// processes.
+// The same-host shared-memory data plane (docs/WIRE_FORMAT.md, "The shm
+// arena"): one mmap'd file holding the binary-encoded plan, written once
+// by the coordinator and mapped by every worker process.
 //
-// Layout: a fixed 64-byte header, the binary-encoded InjectionPlan
-// (frozen once by the coordinator, read-only in spirit thereafter), and
-// `segment_count` fixed-capacity segments — one per lease, indexed by
-// the lease's stable `seq`. A worker drains a lease, encodes the
-// ShardReport with shard_report_to_binary, and memcpy's it into the
-// lease's segment; the DONE message then carries only (offset, length)
-// and the coordinator decodes straight out of its own mapping — no
-// report file, no pipe payload, no JSON parse on the hot path.
-//
-// Re-lease safety: a preempted worker may leave its segment half
-// written. That is fine by construction — the coordinator reads a
-// segment only after a DONE for that lease, the replacement worker
-// overwrites the segment from its start, and the binary codec validates
-// everything it reads. One segment has at most one live writer because
-// the orchestrator re-leases only after the previous holder's exit
-// event.
-//
-// The mapping is MAP_SHARED over a regular file: on one host every
-// mapping of the file observes the same pages, so no msync or fence is
-// needed between a worker's write and the coordinator's read — the DONE
-// line on the pipe is the ordering edge.
+// Layout: a fixed 24-byte header (magic, byte-order tag, version, total
+// size), then the binary-encoded InjectionPlan, exactly to the end of
+// the file. A worker decodes its plan straight out of its own mapping
+// instead of parsing a JSON plan file. Lease reports do not live here:
+// on every data plane they return as the binary frame after DONE on the
+// worker's session.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +18,8 @@
 namespace ep::core {
 
 /// An arena file that cannot be created, mapped, or trusted: I/O
-/// failure, bad magic/version, foreign endianness, or a header whose
-/// regions do not fit the file.
+/// failure, bad magic/version, foreign endianness, or a declared size
+/// the file does not hold.
 class ArenaError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -42,16 +27,14 @@ class ArenaError : public std::runtime_error {
 
 class ShmArena {
  public:
-  /// Coordinator side: create (truncating) `path`, size it for the plan
-  /// plus `segment_count` segments of `segment_bytes` each, map it, and
-  /// freeze `plan_binary` into it. Throws ArenaError on any failure.
+  /// Coordinator side: create (truncating) `path`, size it for the
+  /// header plus `plan_binary`, map it, and freeze the plan into it.
+  /// Throws ArenaError on any failure.
   static ShmArena create(const std::string& path,
-                         const std::string& plan_binary,
-                         std::size_t segment_count,
-                         std::size_t segment_bytes);
-  /// Worker side: map an existing arena and validate its header against
-  /// the file's actual size. Throws ArenaError when the file is missing,
-  /// truncated, foreign, or inconsistent.
+                         const std::string& plan_binary);
+  /// Worker side: map an existing arena read-only and validate its
+  /// header against the file's actual size. Throws ArenaError when the
+  /// file is missing, truncated, foreign, or inconsistent.
   static ShmArena open(const std::string& path);
 
   ShmArena(ShmArena&& other) noexcept;
@@ -61,27 +44,15 @@ class ShmArena {
   ~ShmArena();
 
   const std::string& path() const { return path_; }
-  const std::uint8_t* data() const { return map_; }
+  /// The whole file: header, then plan.
   std::size_t size() const { return size_; }
 
   /// The frozen binary-encoded plan region.
-  const std::uint8_t* plan_data() const { return map_ + plan_offset_; }
-  std::size_t plan_size() const { return plan_length_; }
+  const std::uint8_t* plan_data() const;
+  std::size_t plan_size() const;
 
-  std::size_t segment_count() const { return segment_count_; }
-  std::size_t segment_bytes() const { return segment_bytes_; }
-  /// Absolute file offset of segment `seq` — the offset a worker's DONE
-  /// handoff names. Throws ArenaError when seq is out of range.
-  std::size_t segment_offset(std::size_t seq) const;
-  /// Writable pointer into segment `seq` (the worker's report target).
-  std::uint8_t* segment(std::size_t seq);
-
-  /// Validate a worker's (offset, length) DONE handoff for lease `seq`:
-  /// the offset must be exactly segment seq's start and the length must
-  /// fit the segment. Throws ArenaError naming what is off — a broken
-  /// worker must not make the coordinator read the wrong lease's bytes.
-  void check_handoff(std::size_t seq, std::size_t offset,
-                     std::size_t length) const;
+  /// Bytes ahead of the plan: magic, byte-order tag, version, total.
+  static constexpr std::size_t kHeaderBytes = 24;
 
  private:
   ShmArena() = default;
@@ -91,11 +62,6 @@ class ShmArena {
   int fd_ = -1;
   std::uint8_t* map_ = nullptr;
   std::size_t size_ = 0;
-  std::size_t plan_offset_ = 0;
-  std::size_t plan_length_ = 0;
-  std::size_t segments_offset_ = 0;
-  std::size_t segment_count_ = 0;
-  std::size_t segment_bytes_ = 0;
 };
 
 }  // namespace ep::core

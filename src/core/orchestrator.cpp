@@ -26,14 +26,19 @@ long long steady_now_ms() {
 
 }  // namespace
 
+std::size_t auto_lease_grain(std::size_t items, std::size_t workers) {
+  return std::max<std::size_t>(1, items / (workers * 4));
+}
+
 std::vector<Lease> lease_partition(std::size_t plan_items,
                                    const OrchestratorOptions& opts) {
   if (opts.workers < 1)
     throw OrchestratorError("orchestrate: workers must be >= 1");
-  const auto workers = static_cast<std::size_t>(opts.workers);
-  std::size_t lease_items = opts.lease_items;
-  if (lease_items == 0)
-    lease_items = std::max<std::size_t>(1, plan_items / (workers * 4));
+  const std::size_t lease_items =
+      opts.lease_items != 0
+          ? opts.lease_items
+          : auto_lease_grain(plan_items,
+                             static_cast<std::size_t>(opts.workers));
   std::vector<Lease> leases;
   for (std::size_t begin = 0; begin < plan_items; begin += lease_items)
     leases.push_back(
@@ -45,7 +50,7 @@ CampaignResult orchestrate(const InjectionPlan& plan, Transport& transport,
                            const OrchestratorOptions& opts,
                            OrchestratorStats* stats) {
   // The exhaustive path as one client of the WorkSource seam: a single
-  // wave covering the whole fixed plan, partitioned exactly like
+  // wave covering the whole fixed plan, partitioned by
   // lease_partition(). known_items = the full plan, so FEEDBACK is never
   // sent and the scheduling (and merged bytes) are the pre-seam ones.
   PlanWorkSource source(plan);
@@ -83,8 +88,7 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
   // Leases across all waves share one seq space: each wave's partition
   // takes the next positions in grant order and stolen tails take fresh
   // seqs, so a seq names the same id range for the whole campaign. The
-  // split budget (kMaxLeaseSplits) is likewise campaign-global — it is
-  // what transports pre-allocated for.
+  // split budget (kMaxLeaseSplits) is likewise campaign-global.
   std::deque<Lease> pending;
   std::size_t next_seq = 0;
   std::size_t splits_used = 0;
@@ -196,20 +200,14 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
   };
 
   while (wave.first != wave.second) {
-    // Partition this wave into leases with lease_partition()'s grain
-    // rule applied to the wave size — identical ranges (and seqs) to
-    // the classic partition for the single full-plan wave. pending is
-    // empty here: the previous wave's barrier collected every lease.
-    {
-      const std::size_t wave_items = wave.second - wave.first;
-      std::size_t lease_items = opts.lease_items;
-      if (lease_items == 0)
-        lease_items = std::max<std::size_t>(1, wave_items / (workers * 4));
-      for (std::size_t b = wave.first; b < wave.second; b += lease_items) {
-        pending.push_back(
-            {next_seq++, b, std::min(b + lease_items, wave.second)});
-        ++st.leases_total;
-      }
+    // Partition this wave with lease_partition() applied to the wave
+    // size and offset to the wave — identical ranges (and seqs) to the
+    // classic partition for the single full-plan wave. pending is empty
+    // here: the previous wave's barrier collected every lease.
+    for (const Lease& l : lease_partition(wave.second - wave.first, opts)) {
+      pending.push_back(
+          {next_seq++, wave.first + l.begin, wave.first + l.end});
+      ++st.leases_total;
     }
 
     if (!fleet_spawned) {
@@ -257,7 +255,7 @@ CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
       // Work stealing: nothing left to grant but idle workers exist, so
       // ask stragglers to yield the undrained tails of their leases — one
       // outstanding STEAL per busy worker, at most one per idle worker,
-      // bounded by the split budget transports pre-allocated for.
+      // bounded by the campaign's split budget.
       if (pending.empty()) {
         std::size_t idle = 0, outstanding = 0;
         for (auto& [w, slot] : slots) {

@@ -35,7 +35,7 @@
 // scheduled, split, or re-leased.
 //
 // Transports: LocalProcessTransport (forked workers over pipes),
-// ShmLocalTransport (the same, reports through an mmap'd arena),
+// ShmLocalTransport (the same, the plan shared through an mmap'd arena),
 // TcpTransport (net/transport_tcp.hpp, remote workers over sockets). All
 // three run one framed worker session per worker (core/transport.hpp)
 // speaking the versioned protocol of core/protocol.hpp.
@@ -144,10 +144,10 @@ class Transport {
   virtual void kill(std::size_t worker) = 0;
 };
 
-/// Ceiling on work-stealing splits per campaign. A constant (not an
-/// option) because transports that pre-allocate per-lease resources
-/// (ShmLocalTransport's arena segments) must reserve room for stolen
-/// leases before orchestrate() decides to create any.
+/// Ceiling on work-stealing splits per campaign. The budget bounds steal
+/// churn: every split costs a STEAL/YIELD round trip and a fresh lease,
+/// and a straggler whose tails keep getting re-stolen would otherwise
+/// trade drain time for protocol traffic without end.
 inline constexpr std::size_t kMaxLeaseSplits = 8;
 
 struct OrchestratorOptions {
@@ -177,12 +177,17 @@ struct OrchestratorOptions {
   std::function<long long()> now_ms;
 };
 
-/// The fixed lease partition orchestrate() deals out for a plan of
-/// `plan_items` items under `opts`: contiguous ranges, ascending, with
-/// seq = position. Exposed so transports that pre-allocate per-lease
-/// resources (ShmLocalTransport's arena segments) size them against the
-/// exact same split the orchestrator will schedule (plus kMaxLeaseSplits
-/// stolen-lease slots). Throws OrchestratorError when opts.workers < 1.
+/// The auto lease grain (OrchestratorOptions::lease_items = 0) for
+/// `items` items over `workers` workers: roughly four leases per worker,
+/// never below one item.
+std::size_t auto_lease_grain(std::size_t items, std::size_t workers);
+
+/// The lease partition orchestrate() deals out for a plan (or one search
+/// wave) of `plan_items` items under `opts`: contiguous ranges,
+/// ascending, with seq = position, cut at opts.lease_items or the
+/// auto_lease_grain(). The orchestrator cuts every wave with it, so
+/// callers can predict the exact ranges it will schedule. Throws
+/// OrchestratorError when opts.workers < 1.
 std::vector<Lease> lease_partition(std::size_t plan_items,
                                    const OrchestratorOptions& opts);
 
@@ -207,8 +212,8 @@ CampaignResult orchestrate(const InjectionPlan& plan, Transport& transport,
                            OrchestratorStats* stats = nullptr);
 
 /// The generalized drain behind orchestrate(): lease out a WorkSource's
-/// item stream wave by wave. Each wave is partitioned into leases with
-/// the same grain rule as lease_partition() (applied to the wave size),
+/// item stream wave by wave. Each wave is partitioned into leases by
+/// lease_partition() (applied to the wave size, offset to the wave),
 /// drained by the persistent fleet, and absorbed back into the source
 /// before the next wave is generated — the feedback loop that drives
 /// coverage-guided search. Workers that predate appended items get them

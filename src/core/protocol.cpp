@@ -98,14 +98,8 @@ bool parse_protocol_line(const std::string& line, ProtocolMsg* out) {
   } else if (sc.literal("DONE")) {
     msg.type = ProtocolMsg::Type::done;
     if (!sc.space() || !sc.size(&msg.begin) || !sc.space() ||
-        !sc.size(&msg.end))
+        !sc.size(&msg.end) || !sc.at_end())
       return false;
-    if (!sc.at_end()) {
-      msg.has_handoff = true;
-      if (!sc.space() || !sc.size(&msg.offset) || !sc.space() ||
-          !sc.size(&msg.length) || !sc.at_end())
-        return false;
-    }
   } else if (sc.literal("BYE")) {
     msg.type = ProtocolMsg::Type::bye;
     long long status = 0;
@@ -149,12 +143,6 @@ std::string format_done(std::size_t begin, std::size_t end) {
   return "DONE " + std::to_string(begin) + " " + std::to_string(end);
 }
 
-std::string format_done(std::size_t begin, std::size_t end,
-                        std::size_t offset, std::size_t length) {
-  return format_done(begin, end) + " " + std::to_string(offset) + " " +
-         std::to_string(length);
-}
-
 std::string format_bye(int status) {
   return "BYE " + std::to_string(status);
 }
@@ -184,9 +172,7 @@ std::string format_protocol_msg(const ProtocolMsg& msg) {
     case ProtocolMsg::Type::yield:
       return format_yield(msg.begin, msg.end);
     case ProtocolMsg::Type::done:
-      return msg.has_handoff
-                 ? format_done(msg.begin, msg.end, msg.offset, msg.length)
-                 : format_done(msg.begin, msg.end);
+      return format_done(msg.begin, msg.end);
     case ProtocolMsg::Type::bye:
       return format_bye(msg.status);
     case ProtocolMsg::Type::lease:

@@ -5,7 +5,7 @@
 // a u32 little-endian payload length, then the payload. The framing is
 // the same on every data plane — over a fork/exec worker's stdin/stdout
 // (pipe and shm) and over a dialed-in worker's socket (tcp) — so the
-// coordinator runs one session (core/session.hpp) and the worker one
+// coordinator runs one session (core/transport.hpp) and the worker one
 // channel, whatever the fd underneath. Binary payloads (a plan, a lease
 // report) ride in the same frames as the lines.
 //
@@ -19,17 +19,15 @@
 //                                     [begin, mid) and surrenders
 //                                     [mid, end) of its in-flight lease
 //     DONE <begin> <end>              lease finished; the next frame is
-//                                     its binary report (pipe and tcp)
-//     DONE <begin> <end> <off> <len>  lease finished, shm arena handoff
+//                                     its binary report
 //     BYE <status>                    exit status, sent before closing;
 //                                     authoritative only where the
 //                                     coordinator cannot wait(2) (tcp)
 //
 //   coordinator -> worker
-//     LEASE <begin> <end> <target>    target: `-` (the report returns as
-//                                     the frame after DONE) or `@<seq>`
-//                                     (the report goes to arena segment
-//                                     <seq>)
+//     LEASE <begin> <end> <target>    target: `-`, the only value a
+//                                     worker accepts (the report returns
+//                                     as the frame after DONE)
 //     FEEDBACK <begin> <end> <spec>   append search-generated work items
 //                                     [begin, end) to the worker's plan
 //                                     before their lease arrives; <spec>
@@ -43,6 +41,12 @@
 // A worker that opens with anything but `HELLO <kWorkerProtocolVersion>`
 // is rejected with a diagnostic naming both versions — old fleets fail
 // fast instead of wedging mid-campaign.
+//
+// Earlier version-3 builds also had an shm-only four-field DONE (the
+// report left in an arena segment) and an `@`-prefixed LEASE target
+// naming that segment. Both are gone without a version bump, so pipe and
+// tcp frames are unchanged; a mixed-build shm fleet fails on the arena
+// version (core/arena.hpp) instead.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +65,7 @@ struct ProtocolMsg {
     hello,  ///< version
     ping,
     yield,  ///< begin = mid (the split point), end
-    done,   ///< begin, end [+ offset/length when has_handoff]
+    done,   ///< begin, end
     bye,    ///< status
     lease,  ///< begin, end, target
     feedback,  ///< begin, end, target = the item spec token
@@ -73,9 +77,6 @@ struct ProtocolMsg {
   std::size_t begin = 0;        // lease, done, feedback; yield's split point
   std::size_t end = 0;          // lease, done, yield, feedback
   std::string target;           // lease; feedback's item spec
-  bool has_handoff = false;     // done: shm (offset, length) present
-  std::size_t offset = 0;       // done, shm handoff
-  std::size_t length = 0;       // done, shm handoff
   int status = 0;               // bye
 };
 
@@ -91,8 +92,6 @@ std::string format_hello(long long version);
 std::string format_ping();
 std::string format_yield(std::size_t mid, std::size_t end);
 std::string format_done(std::size_t begin, std::size_t end);
-std::string format_done(std::size_t begin, std::size_t end,
-                        std::size_t offset, std::size_t length);
 std::string format_bye(int status);
 std::string format_lease(std::size_t begin, std::size_t end,
                          const std::string& target);

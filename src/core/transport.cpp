@@ -10,7 +10,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <utility>
 
 namespace ep::core {
@@ -56,9 +55,8 @@ WorkerEvent exit_event(std::size_t worker, int status) {
 
 // --- WorkerSession ----------------------------------------------------------
 
-WorkerSession::WorkerSession(std::size_t id, int in_fd, int out_fd,
-                             HandoffDecoder handoff)
-    : id_(id), in_fd_(in_fd), out_fd_(out_fd), handoff_(std::move(handoff)) {}
+WorkerSession::WorkerSession(std::size_t id, int in_fd, int out_fd)
+    : id_(id), in_fd_(in_fd), out_fd_(out_fd) {}
 
 WorkerSession::~WorkerSession() { close(); }
 
@@ -72,10 +70,10 @@ bool WorkerSession::send(const std::string& payload) {
   return send_frame(in_fd_, payload);
 }
 
-void WorkerSession::grant(const Lease& lease, const std::string& target) {
+void WorkerSession::grant(const Lease& lease) {
   has_lease_ = true;
   lease_ = lease;
-  send(format_lease(lease.begin, lease.end, target));
+  send(format_lease(lease.begin, lease.end, "-"));
 }
 
 void WorkerSession::shutdown() {
@@ -174,20 +172,8 @@ std::optional<WorkerEvent> WorkerSession::on_frame(const std::string& frame) {
     case ProtocolMsg::Type::done:
       if (!has_lease_ || msg.begin != lease_.begin || msg.end != lease_.end)
         fail("sent a DONE '" + frame + "' that matches no lease it holds");
-      if (msg.has_handoff != static_cast<bool>(handoff_))
-        fail(msg.has_handoff
-                 ? "sent an arena handoff '" + frame +
-                       "' on a data plane whose reports ride as frames"
-                 : "sent '" + frame +
-                       "' without the arena (offset, length) handoff");
-      if (!handoff_) {
-        awaiting_report_ = true;
-        return std::nullopt;  // the next frame carries the report
-      }
-      ev.kind = WorkerEvent::Kind::lease_done;
-      handoff_(lease_, msg, &ev);
-      has_lease_ = false;
-      return ev;
+      awaiting_report_ = true;
+      return std::nullopt;  // the next frame carries the report
     case ProtocolMsg::Type::bye:
       // The exit announcement; the event is raised when the close lands.
       said_bye_ = true;
@@ -203,8 +189,7 @@ std::optional<WorkerEvent> WorkerSession::on_frame(const std::string& frame) {
 // --- FramedTransport --------------------------------------------------------
 
 WorkerSession& FramedTransport::adopt(int in_fd, int out_fd) {
-  return sessions_.emplace_back(sessions_.size(), in_fd, out_fd,
-                                handoff_decoder());
+  return sessions_.emplace_back(sessions_.size(), in_fd, out_fd);
 }
 
 WorkerSession& FramedTransport::session(std::size_t worker, const char* op) {
@@ -214,16 +199,8 @@ WorkerSession& FramedTransport::session(std::size_t worker, const char* op) {
   return sessions_[worker];
 }
 
-std::string FramedTransport::lease_token(const Lease& /*lease*/) const {
-  return "-";
-}
-
-WorkerSession::HandoffDecoder FramedTransport::handoff_decoder() {
-  return {};
-}
-
 void FramedTransport::submit(std::size_t worker, const Lease& lease) {
-  session(worker, "submit").grant(lease, lease_token(lease));
+  session(worker, "submit").grant(lease);
 }
 
 void FramedTransport::steal(std::size_t worker) {
@@ -386,67 +363,19 @@ void LocalProcessTransport::kill(std::size_t worker) {
 
 // --- ShmLocalTransport ------------------------------------------------------
 
-std::size_t arena_segment_bytes(std::size_t lease_items) {
-  // Base covers the report frame and metadata; the per-item budget is a
-  // hard upper bound on one outcome's columns (ids, exit codes, flags,
-  // and a violated outcome's site/description strings).
-  constexpr std::size_t kBase = 8192;
-  constexpr std::size_t kPerItem = 4096;
-  return kBase + lease_items * kPerItem;
-}
-
-namespace {
-
-std::size_t max_lease_items(const std::vector<Lease>& leases) {
-  std::size_t most = 0;
-  for (const Lease& l : leases) most = std::max(most, l.end - l.begin);
-  return most;
-}
-
-}  // namespace
-
 ShmLocalTransport::ShmLocalTransport(LocalProcessConfig config,
                                      const InjectionPlan& plan,
-                                     const std::vector<Lease>& leases)
+                                     const std::vector<Lease>& /*leases*/)
     : LocalProcessTransport(std::move(config)),
-      // kMaxLeaseSplits extra segments: stolen-tail leases take fresh
-      // seqs past the partition, and each needs a segment home. A stolen
-      // tail is a sub-range of some partition lease, so the per-segment
-      // size bound already covers it.
-      arena_(ShmArena::create(
-          this->config().out_dir + "/" + this->config().file_prefix +
-              ".arena",
-          plan_to_binary(plan), leases.size() + kMaxLeaseSplits,
-          arena_segment_bytes(max_lease_items(leases)))) {}
+      arena_(ShmArena::create(this->config().out_dir + "/" +
+                                  this->config().file_prefix + ".arena",
+                              plan_to_binary(plan))) {}
 
 std::vector<std::string> ShmLocalTransport::worker_args() const {
   std::vector<std::string> args = {"worker", "--arena", arena_.path()};
   args.insert(args.end(), config().worker_flags.begin(),
               config().worker_flags.end());
   return args;
-}
-
-std::string ShmLocalTransport::lease_token(const Lease& lease) const {
-  return "@" + std::to_string(lease.seq);
-}
-
-WorkerSession::HandoffDecoder ShmLocalTransport::handoff_decoder() {
-  return [this](const Lease& lease, const ProtocolMsg& done,
-                WorkerEvent* ev) {
-    ev->label = arena_.path() + "#seg" + std::to_string(lease.seq);
-    try {
-      arena_.check_handoff(lease.seq, done.offset, done.length);
-      // Decoding straight from the coordinator's own mapping — the DONE
-      // frame on the pipe is the ordering edge, so the worker's writes
-      // to this MAP_SHARED segment are visible here.
-      ev->report = shard_report_from_binary(arena_.data() + done.offset,
-                                            done.length);
-    } catch (const WireError& e) {
-      throw OrchestratorError(ev->label + ": " + e.what());
-    } catch (const ArenaError& e) {
-      throw OrchestratorError(e.what());
-    }
-  };
 }
 
 }  // namespace ep::core

@@ -6,24 +6,25 @@
 // or a dialed-in worker's socket passed as both ends. It reassembles
 // frames, gates on the HELLO handshake, turns PING/YIELD/DONE into typed
 // WorkerEvents, checks every DONE against the lease it granted, picks up
-// the lease report — the binary frame right after DONE, or the shm
-// plane's (offset, length) arena handoff — and records BYE.
+// the lease report — the binary frame right after DONE, on every plane —
+// and records BYE.
 //
 // FramedTransport is a Transport over a fleet of sessions: LEASE, STEAL,
 // FEEDBACK and EXIT go out as frames, and wait_any() is the one poll loop
 // over every session's read end. A subclass says only how a worker's fds
-// are obtained (spawn), how a closed worker's death is classified
-// (reap), and — the shm plane — what a LEASE target names and how a DONE
-// handoff decodes. net::TcpTransport (net/transport_tcp.hpp) is the
-// remote subclass; the two here fork/exec `epa_cli worker` on this
-// machine:
+// are obtained (spawn) and how a closed worker's death is classified
+// (reap). net::TcpTransport (net/transport_tcp.hpp) is the remote
+// subclass; the two here fork/exec `epa_cli worker` on this machine, and
+// differ only in how the plan reaches the worker:
 //
-//   LocalProcessTransport  the pipe plane: the plan travels as a file,
-//                          each lease report returns as the binary frame
-//                          after DONE on the worker's stdout.
-//   ShmLocalTransport      the shm plane: the plan and the lease reports
-//                          live in an mmap'd arena (core/arena.hpp); DONE
-//                          names the report's (offset, length).
+//   LocalProcessTransport  the pipe plane: the plan travels as a JSON
+//                          file.
+//   ShmLocalTransport      the shm plane: the binary plan is frozen once
+//                          into an mmap'd arena (core/arena.hpp) that
+//                          every worker maps.
+//
+// Either way each lease report returns as the binary frame after DONE on
+// the worker's stdout.
 //
 // Worker stderr is inherited (progress and diagnostics pass through);
 // stdout carries frames only, starting with `HELLO 3`. Exit statuses
@@ -37,7 +38,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <string>
 #include <sys/types.h>
@@ -56,16 +56,9 @@ WorkerEvent exit_event(std::size_t worker, int status);
 /// One worker's protocol session on the coordinator. Owns its fds.
 class WorkerSession {
  public:
-  /// Decodes a DONE's arena (offset, length) handoff into ev->report and
-  /// ev->label, throwing OrchestratorError on a bad handoff. Empty on the
-  /// planes whose reports ride back as the frame after DONE.
-  using HandoffDecoder = std::function<void(
-      const Lease& lease, const ProtocolMsg& done, WorkerEvent* ev)>;
-
   /// `in_fd` is the worker's input (we write), `out_fd` its output (we
   /// read); a socket is passed as both and closed once.
-  WorkerSession(std::size_t id, int in_fd, int out_fd,
-                HandoffDecoder handoff = {});
+  WorkerSession(std::size_t id, int in_fd, int out_fd);
   ~WorkerSession();
   WorkerSession(const WorkerSession&) = delete;
   WorkerSession& operator=(const WorkerSession&) = delete;
@@ -81,9 +74,10 @@ class WorkerSession {
   /// One frame to the worker, best effort: false on a dead peer or a
   /// closed write end — the death surfaces on the read side.
   bool send(const std::string& payload);
-  /// LEASE `lease` with report target `target`; the lease is remembered
-  /// so YIELD and DONE can be checked against it.
-  void grant(const Lease& lease, const std::string& target);
+  /// LEASE `lease` (report target `-`: the report returns as the frame
+  /// after DONE); the lease is remembered so YIELD and DONE can be
+  /// checked against it.
+  void grant(const Lease& lease);
   /// EXIT, then close the write end when it is its own fd (a pipe): EOF
   /// ends the worker loop even if EXIT was lost to a half-dead worker. A
   /// socket stays open — the BYE still has to arrive.
@@ -110,7 +104,6 @@ class WorkerSession {
   std::size_t id_;
   int in_fd_;
   int out_fd_;
-  HandoffDecoder handoff_;
   FrameBuffer frames_;
   bool saw_eof_ = false;
   bool said_hello_ = false;
@@ -139,11 +132,6 @@ class FramedTransport : public Transport {
   WorkerSession& adopt(int in_fd, int out_fd);
   /// The session behind `worker`; throws naming `op` when there is none.
   WorkerSession& session(std::size_t worker, const char* op);
-  /// The report target of a LEASE. Base: `-`, the report returns as the
-  /// frame after DONE.
-  virtual std::string lease_token(const Lease& lease) const;
-  /// How a DONE handoff decodes. Base: none — reports return as frames.
-  virtual WorkerSession::HandoffDecoder handoff_decoder();
   /// `worker`'s read end hit EOF and its buffered frames are delivered:
   /// release it and classify the death.
   virtual WorkerEvent reap(std::size_t worker) = 0;
@@ -205,37 +193,22 @@ class LocalProcessTransport : public FramedTransport {
 };
 
 /// The same-host shared-memory data plane (core/arena.hpp): the binary
-/// plan is frozen into an mmap'd arena once, each lease owns a fixed
-/// arena segment indexed by its seq, workers write binary reports into
-/// their lease's segment directly, and DONE carries only an
-/// (offset, length) handoff — zero parse and zero copy of the report on
-/// the coordinator's side of the wire.
+/// plan is frozen into an mmap'd arena once, and every worker decodes it
+/// straight out of its own mapping instead of parsing a JSON plan file.
 class ShmLocalTransport : public LocalProcessTransport {
  public:
-  /// `leases` must be the exact partition orchestrate() will schedule
-  /// (lease_partition()) — segments are indexed by lease seq and sized
-  /// for the largest lease. kMaxLeaseSplits extra segments are reserved
-  /// past the partition so stolen-tail leases (fresh seqs) have arena
-  /// homes too. Creates <out_dir>/<file_prefix>.arena.
+  /// Creates <out_dir>/<file_prefix>.arena holding `plan`. No transport
+  /// pre-allocates per-lease resources, so `leases` is unused; it remains
+  /// because perfbench/ (which this API must keep compiling) passes the
+  /// lease_partition() here.
   ShmLocalTransport(LocalProcessConfig config, const InjectionPlan& plan,
-                    const std::vector<Lease>& leases);
-
-  const std::string& arena_path() const { return arena_.path(); }
+                    const std::vector<Lease>& leases = {});
 
  protected:
   std::vector<std::string> worker_args() const override;
-  /// `@<seq>`: the lease's arena segment.
-  std::string lease_token(const Lease& lease) const override;
-  /// Decodes the report straight out of the coordinator's own mapping.
-  WorkerSession::HandoffDecoder handoff_decoder() override;
 
  private:
   ShmArena arena_;
 };
-
-/// How large a lease's arena segment is for a lease of `lease_items`
-/// items: a fixed base plus a generous per-item budget. A report that
-/// still does not fit is a clean worker error, not a truncation.
-std::size_t arena_segment_bytes(std::size_t lease_items);
 
 }  // namespace ep::core

@@ -19,7 +19,7 @@
 // Like the JSON side, the encoding is canonical: sections are written
 // in fixed tag order with no padding, so decode -> re-encode reproduces
 // the bytes verbatim — what lets docs/WIRE_FORMAT.md pin a hex example
-// literally and the arena transport compare segments byte for byte.
+// literally and lets tests compare re-encoded frames byte for byte.
 //
 // Numbers are native-endian (the same-host data plane never crosses a
 // byte-order boundary); the header's byte-order tag turns a

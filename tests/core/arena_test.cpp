@@ -1,8 +1,7 @@
 // The shared-memory data plane (core/arena.hpp, core/transport.hpp's
 // ShmLocalTransport): arena create/open round trips, header validation
-// against corrupt or foreign files, the (offset, length) DONE handoff
-// checks, segment re-lease cleanliness, and the arena-sizing contract
-// against the orchestrator's lease partition.
+// against corrupt, foreign or older-version files, and the transport's
+// arena holding exactly the plan, whatever the lease partition.
 #include "core/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +10,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,75 +67,21 @@ TEST(Arena, CreateOpenRoundTrip) {
   std::string path = temp_path("roundtrip");
   std::string plan_bin = plan_to_binary(toy_plan());
   {
-    ShmArena a = ShmArena::create(path, plan_bin, 3, 256);
+    ShmArena a = ShmArena::create(path, plan_bin);
     EXPECT_EQ(a.plan_size(), plan_bin.size());
-    EXPECT_EQ(a.segment_count(), 3u);
-    EXPECT_EQ(a.segment_bytes(), 256u);
     EXPECT_EQ(0, std::memcmp(a.plan_data(), plan_bin.data(),
                              plan_bin.size()));
   }
   ShmArena b = ShmArena::open(path);
   EXPECT_EQ(b.plan_size(), plan_bin.size());
-  EXPECT_EQ(b.segment_count(), 3u);
-  EXPECT_EQ(b.segment_bytes(), 256u);
   // The frozen plan decodes out of the mapping directly.
   InjectionPlan decoded = plan_from_binary(b.plan_data(), b.plan_size());
   EXPECT_EQ(decoded.to_json(), toy_plan().to_json());
-  // Segments sit contiguously after the plan, exactly covering the file.
-  EXPECT_EQ(b.segment_offset(0), 64 + plan_bin.size());
-  EXPECT_EQ(b.segment_offset(2), b.segment_offset(0) + 2 * 256);
-  EXPECT_EQ(b.size(), b.segment_offset(2) + 256);
-  std::remove(path.c_str());
-}
-
-TEST(Arena, WritesInOneMappingAreSeenByAnother) {
-  // Same-host MAP_SHARED coherence — what the worker/coordinator pair
-  // relies on, exercised through two independent mappings of the file.
-  std::string path = temp_path("coherent");
-  ShmArena writer = ShmArena::create(path, "plan-bytes", 2, 64);
-  ShmArena reader = ShmArena::open(path);
-  const char msg[] = "report in segment 1";
-  std::memcpy(writer.segment(1), msg, sizeof msg);
-  EXPECT_EQ(0, std::memcmp(reader.segment(1), msg, sizeof msg));
-  std::remove(path.c_str());
-}
-
-TEST(Arena, ReLeasedSegmentDecodesCleanlyAfterPartialGarbage) {
-  // Re-lease safety by construction: a preempted worker leaves arbitrary
-  // half-written bytes; the replacement overwrites from the segment's
-  // start and the decoder reads only [offset, offset+length).
-  Scenario s = toy_scenario();
-  InjectionPlan plan = Planner(s).plan({});
-  std::string report_bin =
-      shard_report_to_binary(run_lease(Executor(s), plan, 0, 2));
-  std::string path = temp_path("release");
-  ShmArena a = ShmArena::create(path, plan_to_binary(plan), 1,
-                                report_bin.size() + 128);
-  std::memset(a.segment(0), 0xAB, a.segment_bytes());  // the dead partial
-  std::memcpy(a.segment(0), report_bin.data(), report_bin.size());
-  ShardReport decoded = shard_report_from_binary(
-      a.data() + a.segment_offset(0), report_bin.size());
-  EXPECT_TRUE(decoded.complete);
-  EXPECT_EQ(shard_report_to_binary(decoded), report_bin);
-  std::remove(path.c_str());
-}
-
-TEST(Arena, HandoffChecksOffsetAndLength) {
-  std::string path = temp_path("handoff");
-  ShmArena a = ShmArena::create(path, "0123456789", 2, 128);
-  std::size_t seg1 = a.segment_offset(1);
-  a.check_handoff(1, seg1, 128);  // the full segment is fine
-  a.check_handoff(1, seg1, 0);    // so is an empty report
-
-  std::string msg =
-      arena_error_of([&] { a.check_handoff(1, seg1 + 1, 16); });
-  EXPECT_TRUE(contains(msg, "segment starts at " + std::to_string(seg1)));
-  msg = arena_error_of([&] { a.check_handoff(0, seg1, 16); });
-  EXPECT_TRUE(contains(msg, "lease 0's segment starts at"));
-  msg = arena_error_of([&] { a.check_handoff(1, seg1, 129); });
-  EXPECT_TRUE(contains(msg, "segments hold at most 128"));
-  msg = arena_error_of([&] { a.check_handoff(2, seg1, 16); });
-  EXPECT_TRUE(contains(msg, "segment 2 out of range (arena holds 2)"));
+  // The file is exactly the header and the plan: nothing per lease.
+  std::string bytes = read_bytes(path);
+  EXPECT_EQ(bytes.size(), ShmArena::kHeaderBytes + plan_bin.size());
+  EXPECT_EQ(b.size(), bytes.size());
+  EXPECT_EQ(bytes.substr(ShmArena::kHeaderBytes), plan_bin);
   std::remove(path.c_str());
 }
 
@@ -155,7 +101,7 @@ TEST(ArenaErrors, TruncatedHeader) {
 
 TEST(ArenaErrors, BadMagic) {
   std::string path = temp_path("magic");
-  { ShmArena::create(path, "plan", 1, 32); }
+  { ShmArena::create(path, "plan"); }
   std::string bytes = read_bytes(path);
   bytes[0] = 'X';
   write_bytes(path, bytes);
@@ -166,7 +112,7 @@ TEST(ArenaErrors, BadMagic) {
 
 TEST(ArenaErrors, ForeignEndianness) {
   std::string path = temp_path("endian");
-  { ShmArena::create(path, "plan", 1, 32); }
+  { ShmArena::create(path, "plan"); }
   std::string bytes = read_bytes(path);
   std::swap(bytes[8], bytes[11]);  // byte-swap the order tag
   std::swap(bytes[9], bytes[10]);
@@ -178,7 +124,7 @@ TEST(ArenaErrors, ForeignEndianness) {
 
 TEST(ArenaErrors, TruncatedFileFailsTheDeclaredTotal) {
   std::string path = temp_path("total");
-  { ShmArena::create(path, "plan", 1, 32); }
+  { ShmArena::create(path, "plan"); }
   std::string bytes = read_bytes(path);
   write_bytes(path, bytes.substr(0, bytes.size() - 1));
   std::string msg = arena_error_of([&] { (void)ShmArena::open(path); });
@@ -186,40 +132,33 @@ TEST(ArenaErrors, TruncatedFileFailsTheDeclaredTotal) {
   std::remove(path.c_str());
 }
 
-TEST(ArenaErrors, SegmentRegionMustCoverTheFileExactly) {
-  std::string path = temp_path("segments");
-  { ShmArena::create(path, "plan", 2, 32); }
+TEST(ArenaErrors, OtherVersionIsRejected) {
+  // A mixed-build shm fleet fails here: the report-segment layout was
+  // version 1, and the worker protocol version did not change with it.
+  std::string path = temp_path("version");
+  { ShmArena::create(path, "plan"); }
   std::string bytes = read_bytes(path);
-  std::uint64_t three = 3;  // claim 3 segments in a 2-segment file
-  std::memcpy(&bytes[40], &three, sizeof three);
+  std::uint32_t one = 1;
+  std::memcpy(&bytes[12], &one, sizeof one);
   write_bytes(path, bytes);
   std::string msg = arena_error_of([&] { (void)ShmArena::open(path); });
-  EXPECT_TRUE(contains(msg, "segment region does not fit the file"));
+  EXPECT_TRUE(contains(msg, "unsupported arena version 1 (this build reads "
+                            "2)"))
+      << msg;
   std::remove(path.c_str());
 }
 
-// --- the transport's arena-sizing contract ----------------------------------
+// --- the transport's arena ------------------------------------------------
 // (The suite name also keys the CI TSan filter: Arena|ShmTransport.)
 
 struct ExposedShm : ShmLocalTransport {
   using ShmLocalTransport::ShmLocalTransport;
-  using ShmLocalTransport::lease_token;
   using ShmLocalTransport::worker_args;
 };
 
-TEST(ShmTransport, SegmentBytesScaleWithTheLargestLease) {
-  EXPECT_GT(arena_segment_bytes(0), 0u);
-  EXPECT_GT(arena_segment_bytes(8), arena_segment_bytes(1));
-  // The budget is generous by design: a full toy-plan lease report must
-  // fit with ample slack (violations and exploit notes included).
-  Scenario s = toy_scenario();
-  InjectionPlan plan = Planner(s).plan({});
-  std::size_t n = plan.items.size();
-  std::string bin = shard_report_to_binary(run_lease(Executor(s), plan, 0, n));
-  EXPECT_LT(bin.size(), arena_segment_bytes(n) / 2);
-}
-
 TEST(ShmTransport, ArenaMatchesTheLeasePartition) {
+  // The lease partition does not shape the arena: with or without it,
+  // the file is the header and the binary plan, nothing per lease.
   InjectionPlan plan = toy_plan();
   OrchestratorOptions oopts;
   oopts.workers = 2;
@@ -232,25 +171,29 @@ TEST(ShmTransport, ArenaMatchesTheLeasePartition) {
   cfg.out_dir = ::testing::TempDir();
   cfg.file_prefix = "epa_shm_test";
   cfg.worker_flags = {"--jobs", "4", "--checkpoint", "1"};
-  ExposedShm t(cfg, plan, partition);
-  EXPECT_EQ(t.arena_path(), cfg.out_dir + "/epa_shm_test.arena");
+  const std::string arena_path = cfg.out_dir + "/epa_shm_test.arena";
+  const std::string plan_bin = plan_to_binary(plan);
+  for (bool with_partition : {true, false}) {
+    SCOPED_TRACE(with_partition ? "with partition" : "without");
+    std::optional<ExposedShm> t;
+    if (with_partition)
+      t.emplace(cfg, plan, partition);
+    else
+      t.emplace(cfg, plan);
+    EXPECT_EQ(read_bytes(arena_path).size(),
+              ShmArena::kHeaderBytes + plan_bin.size());
+    ShmArena a = ShmArena::open(arena_path);
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(a.plan_data()),
+                          a.plan_size()),
+              plan_bin);
 
-  ShmArena a = ShmArena::open(t.arena_path());
-  // One segment per planned lease, plus the reserve for stolen-tail
-  // leases (fresh seqs past the partition) minted by work stealing.
-  EXPECT_EQ(a.segment_count(), partition.size() + kMaxLeaseSplits);
-  EXPECT_EQ(a.segment_bytes(), arena_segment_bytes(3));
-  EXPECT_EQ(plan_from_binary(a.plan_data(), a.plan_size()).to_json(),
-            plan.to_json());
-
-  // The data plane's protocol tokens: leases are named by segment, the
-  // worker argv points at the arena instead of a plan file, and the
-  // worker flags follow verbatim.
-  EXPECT_EQ(t.lease_token(partition[1]), "@1");
-  EXPECT_EQ(t.worker_args(),
-            (std::vector<std::string>{"worker", "--arena", t.arena_path(),
-                                      "--jobs", "4", "--checkpoint", "1"}));
-  std::remove(t.arena_path().c_str());
+    // The worker argv points at the arena instead of a plan file, and
+    // the worker flags follow verbatim.
+    EXPECT_EQ(t->worker_args(),
+              (std::vector<std::string>{"worker", "--arena", arena_path,
+                                        "--jobs", "4", "--checkpoint", "1"}));
+  }
+  std::remove(arena_path.c_str());
 }
 
 TEST(ShmTransport, LeasePartitionIsContiguousAscending) {

@@ -146,9 +146,9 @@ TEST(LeaseSplit, StolenTailsMergeByteIdentically) {
 }
 
 TEST(LeaseSplit, SplitCountIsCappedAtKMaxLeaseSplits) {
-  // Transports pre-allocate per-lease resources (the shm arena reserves
-  // exactly kMaxLeaseSplits spare segments), so the orchestrator must
-  // never split more often than that even when every steal would stick.
+  // The split budget bounds steal churn: the orchestrator must never
+  // split more often than kMaxLeaseSplits even when every steal would
+  // stick.
   Scenario s = toy_scenario();
   InjectionPlan plan = planned_toy();
   if (plan.items.size() < kMaxLeaseSplits + 2)

@@ -29,10 +29,8 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
       format_ping(),
       format_yield(3, 9),
       format_done(0, 4),
-      format_done(4, 9, 128, 77),
       format_bye(4),
       format_lease(0, 4, "lpr.lease0.json"),
-      format_lease(4, 9, "@1"),
       format_lease(9, 11, "-"),
       format_steal(),
       format_exit(),
@@ -64,13 +62,6 @@ TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
   EXPECT_EQ(m.type, Type::done);
   EXPECT_EQ(m.begin, 0u);
   EXPECT_EQ(m.end, 4u);
-  EXPECT_FALSE(m.has_handoff);
-
-  ASSERT_TRUE(parse_protocol_line("DONE 4 9 128 77", &m));
-  EXPECT_EQ(m.type, Type::done);
-  EXPECT_TRUE(m.has_handoff);
-  EXPECT_EQ(m.offset, 128u);
-  EXPECT_EQ(m.length, 77u);
 
   ASSERT_TRUE(parse_protocol_line("BYE 4", &m));
   EXPECT_EQ(m.type, Type::bye);
@@ -117,7 +108,8 @@ TEST(Protocol, RejectsMalformedLines) {
       "YIELD 3 9 12",      // trailing junk
       "DONE",              // missing range
       "DONE 0",
-      "DONE 0 4 128",      // a handoff is two fields or none
+      "DONE 0 4 128",      // DONE is exactly a range
+      "DONE 0 4 128 64",   // the retired shm arena handoff
       "DONE 0 4 128 77 9",
       "BYE",
       "BYE 4 0",

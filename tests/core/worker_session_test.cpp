@@ -1,6 +1,6 @@
 // WorkerSession (core/transport.hpp): the coordinator's half of the
 // worker protocol that every data plane shares — HELLO gate, PING,
-// YIELD shrink, DONE validation, report frame or arena handoff, BYE —
+// YIELD shrink, DONE validation, the report frame after DONE, BYE —
 // driven over a socketpair by a scripted in-test "worker". Single-
 // threaded: the worker side writes whole frames before the session
 // reads, so no call blocks on the other side of the test.
@@ -30,10 +30,10 @@ struct Wire {
   FrameBuffer worker_fb;
   std::optional<WorkerSession> session;
 
-  explicit Wire(WorkerSession::HandoffDecoder handoff = {}) {
+  Wire() {
     int sv[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    session.emplace(0, sv[0], sv[0], std::move(handoff));
+    session.emplace(0, sv[0], sv[0]);
     worker_fd = sv[1];
   }
   ~Wire() {
@@ -67,7 +67,7 @@ std::string rejection(const std::string& frame, bool greet = true,
                       const Lease* lease = nullptr) {
   Wire w;
   if (greet) w.hello();
-  if (lease) w.session->grant(*lease, "-");
+  if (lease) w.session->grant(*lease);
   w.say(frame);
   try {
     (void)w.event();
@@ -88,7 +88,7 @@ TEST(WorkerSession, LeaseDoneReportFrameAndByeRoundTrip) {
   w.hello();
 
   const Lease lease{3, 0, 2};
-  w.session->grant(lease, "-");
+  w.session->grant(lease);
   EXPECT_EQ(w.hear(), "LEASE 0 2 -");
 
   w.say(format_ping());
@@ -124,7 +124,7 @@ TEST(WorkerSession, LeaseDoneReportFrameAndByeRoundTrip) {
 TEST(WorkerSession, YieldShrinksTheLeaseTheDoneMustMatch) {
   Wire w;
   w.hello();
-  w.session->grant({1, 2, 6}, "-");
+  w.session->grant({1, 2, 6});
   w.say(format_yield(4, 6));
   std::optional<WorkerEvent> ev = w.event();
   ASSERT_TRUE(ev.has_value());
@@ -176,7 +176,7 @@ TEST(WorkerSession, DoneRangeMismatchIsRejected) {
 TEST(WorkerSession, CorruptReportFrameIsRejected) {
   Wire w;
   w.hello();
-  w.session->grant({5, 0, 2}, "-");
+  w.session->grant({5, 0, 2});
   w.say(format_done(0, 2));
   w.say("EPAB but not really a report");
   try {
@@ -189,35 +189,14 @@ TEST(WorkerSession, CorruptReportFrameIsRejected) {
 }
 
 TEST(WorkerSession, ArenaHandoffMustMatchThePlane) {
-  // A frame-report plane refuses a handoff...
+  // No plane takes a report out of an arena any more: the four-field
+  // DONE the shm plane once sent is not a protocol line, lease or no
+  // lease.
   const Lease lease{0, 0, 2};
-  EXPECT_TRUE(contains(rejection(format_done(0, 2, 64, 10), true, &lease),
-                       "arena handoff"));
-
-  // ...and an arena plane refuses a DONE without one, and otherwise
-  // hands (offset, length) to its decoder.
-  std::size_t decoded_length = 0;
-  auto decode = [&](const Lease&, const ProtocolMsg& done, WorkerEvent* ev) {
-    decoded_length = done.length;
-    ev->label = "segment";
-  };
-  {
-    Wire w(decode);
-    w.hello();
-    w.session->grant(lease, "@0");
-    EXPECT_EQ(w.hear(), "LEASE 0 2 @0");
-    w.say(format_done(0, 2));
-    EXPECT_THROW((void)w.event(), OrchestratorError);
-  }
-  Wire w(decode);
-  w.hello();
-  w.session->grant(lease, "@0");
-  w.say(format_done(0, 2, 64, 10));
-  std::optional<WorkerEvent> ev = w.event();
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->kind, WorkerEvent::Kind::lease_done);
-  EXPECT_EQ(ev->label, "segment");
-  EXPECT_EQ(decoded_length, 10u);
+  EXPECT_TRUE(contains(rejection("DONE 0 2 64 10", true, &lease),
+                       "unexpected protocol message 'DONE 0 2 64 10'"));
+  EXPECT_TRUE(contains(rejection("DONE 0 2 64 10"),
+                       "unexpected protocol message"));
 }
 
 TEST(WorkerSession, ExitStatusClassification) {

@@ -45,9 +45,10 @@
 // and re-freezes the COW prototype once, then serves LEASE commands over
 // its framed session (stdin/stdout; the socket with --connect)
 // until EXIT/EOF — the per-process costs are paid per worker, not per
-// work slice. Every data plane speaks worker protocol v3
+// work slice. Every data plane speaks worker protocol v4
 // (core/protocol.hpp): HELLO handshake, PING heartbeats at checkpoints,
-// STEAL/YIELD work stealing, FEEDBACK item appends for search.
+// STEAL/YIELD work stealing, FEEDBACK item appends for search, PLAN
+// switches between the plans of a suite.
 // Orchestrated output is bit-identical to `run`.
 #include <sys/stat.h>
 #include <unistd.h>
@@ -62,6 +63,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -76,6 +78,7 @@
 #include "apps/scenarios.hpp"
 #include "apps/spec_env.hpp"
 #include "core/arena.hpp"
+#include "core/catalog.hpp"
 #include "core/compare.hpp"
 #include "core/equivalence.hpp"
 #include "core/orchestrator.hpp"
@@ -965,8 +968,14 @@ class FrameChannel {
   bool send(const std::string& payload) {
     return core::send_frame(out_fd_, payload);
   }
-  /// Block for the next frame. False on EOF (coordinator gone).
+  /// Block for the next frame, deferred ones first. False on EOF
+  /// (coordinator gone).
   bool recv(std::string* payload) {
+    if (!deferred_.empty()) {
+      *payload = std::move(deferred_.front());
+      deferred_.pop_front();
+      return true;
+    }
     if (eof_) return false;
     if (!core::recv_frame(in_fd_, &frames_, payload)) eof_ = true;
     return !eof_;
@@ -978,11 +987,16 @@ class FrameChannel {
     if (!eof_) eof_ = !core::pump_nonblocking(in_fd_, &frames_);
     return frames_.pop(payload);
   }
+  /// Hand a frame poll() pulled back to recv(), in arrival order: the
+  /// lease queued behind the one draining (and anything after it) is
+  /// served once the drain is done.
+  void defer(std::string payload) { deferred_.push_back(std::move(payload)); }
 
  private:
   int in_fd_;
   int out_fd_;
   core::FrameBuffer frames_;
+  std::deque<std::string> deferred_;
   bool eof_ = false;
 };
 
@@ -1000,9 +1014,40 @@ long long worker_protocol_version() {
   return v;
 }
 
-/// Everything a worker does after HELLO: load the plan, freeze the
-/// prototype, serve leases. Returns the exit status; `*done` counts the
-/// leases served.
+/// The plan frame that follows `PLAN <items>`, decoded and held to the
+/// announced item count. `src` names the channel in diagnostics.
+core::InjectionPlan recv_plan(FrameChannel& chan, const core::ProtocolMsg& msg,
+                              const std::string& src) {
+  std::string frame;
+  if (!chan.recv(&frame))
+    throw std::runtime_error(src + ": coordinator closed the connection "
+                                   "between PLAN and its plan frame");
+  core::InjectionPlan plan;
+  try {
+    plan = core::plan_from_binary(frame);
+  } catch (const core::WireError& e) {
+    throw std::runtime_error(src + ": " + e.what());
+  }
+  if (plan.items.size() != msg.end)
+    throw std::runtime_error(src + ": PLAN announced " +
+                             std::to_string(msg.end) +
+                             " item(s) but the plan frame holds " +
+                             std::to_string(plan.items.size()));
+  return plan;
+}
+
+/// The one plan a worker holds, with its scenario and the executor over
+/// them. A PLAN message replaces all three; nothing of the old plan is
+/// kept, so a worker's memory is that of one plan.
+struct HeldPlan {
+  core::InjectionPlan plan;
+  std::optional<core::Scenario> scenario;
+  std::optional<core::Executor> executor;  // references *scenario
+};
+
+/// Everything a worker does after HELLO: load the first plan, freeze the
+/// prototype, serve leases — and swap in each later plan a PLAN message
+/// brings. Returns the exit status; `*done` counts the leases served.
 int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
   // --preempt-after self-preempts after N leases, or — with --checkpoint
   // — after N flushes (the CI hook); --drain-delay-ms sleeps before each
@@ -1010,49 +1055,60 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
   const long long checkpoint = a.num("--checkpoint", 0);
   const long long preempt_after = a.num("--preempt-after", 0);
   const long long drain_delay_ms = a.num("--drain-delay-ms", 0);
-  core::InjectionPlan plan;
-  std::string plan_src;
+  const core::ExecutorOptions opts = executor_options(a);
+  HeldPlan held;
+  auto install = [&](core::InjectionPlan plan, const std::string& src) {
+    // The old executor goes before the old scenario it references.
+    held.executor.reset();
+    held.plan = std::move(plan);
+    held.scenario.emplace(
+        plan_scenario(held.plan, src, a.text("--scenario-file")));
+    if (opts.use_world_cache)
+      core::refreeze_snapshot(held.plan, *held.scenario);
+    held.executor.emplace(*held.scenario);
+    // One line per installed plan by design: the ctest worker-protocol
+    // checks count these to pin "parse + re-freeze happen once per plan,
+    // not per lease".
+    std::fprintf(stderr,
+                 "epa worker: parsed %s (%zu items), prototype %s; serving\n",
+                 src.c_str(), held.plan.items.size(),
+                 held.plan.snapshot ? "frozen" : "uncached");
+  };
+
+  // Later plans always arrive as PLAN frames; a tcp worker's first does
+  // too, as the handshake's answer to HELLO.
+  const std::string frame_src =
+      a.has("--connect") ? a.text("--connect") : "PLAN frame";
+  std::string cmd;
+  core::ProtocolMsg msg;
   if (a.has("--connect")) {
-    plan_src = a.text("--connect");
-    std::string frame;
-    if (!chan.recv(&frame))
+    if (!chan.recv(&cmd))
       throw std::runtime_error(
-          plan_src + ": coordinator closed the connection before sending "
-                     "a plan (handshake rejected?)");
-    try {
-      plan = core::plan_from_binary(frame);
-    } catch (const core::WireError& e) {
-      throw std::runtime_error(plan_src + ": " + e.what());
-    }
+          frame_src + ": coordinator closed the connection before sending "
+                      "a plan (handshake rejected?)");
+    if (!core::parse_protocol_line(cmd, &msg) ||
+        msg.type != core::ProtocolMsg::Type::plan)
+      throw std::runtime_error(frame_src +
+                               ": expected PLAN after HELLO, got '" + cmd +
+                               "'");
+    install(recv_plan(chan, msg, frame_src), frame_src);
   } else if (a.has("--arena")) {
-    plan_src = a.text("--arena");
-    const core::ShmArena arena = core::ShmArena::open(plan_src);
+    const std::string src = a.text("--arena");
+    const core::ShmArena arena = core::ShmArena::open(src);
+    core::InjectionPlan plan;
     try {
       plan = core::plan_from_binary(arena.plan_data(), arena.plan_size());
     } catch (const core::WireError& e) {
-      throw std::runtime_error(plan_src + ": " + e.what());
+      throw std::runtime_error(src + ": " + e.what());
     }
+    install(std::move(plan), src);
   } else {
-    plan_src = a.operands[0];
-    plan = load_plan(plan_src);
+    install(load_plan(a.operands[0]), a.operands[0]);
   }
-  core::Scenario scenario =
-      plan_scenario(plan, plan_src, a.text("--scenario-file"));
-  const core::ExecutorOptions opts = executor_options(a);
-  if (opts.use_world_cache) core::refreeze_snapshot(plan, scenario);
-  core::Executor executor(scenario);
   std::signal(SIGTERM, on_sigterm);
-  // One line per process by design: the ctest worker-protocol check
-  // counts these to pin "parse + re-freeze happen once, not per lease".
-  std::fprintf(stderr,
-               "epa worker: parsed %s (%zu items), prototype %s; serving\n",
-               plan_src.c_str(), plan.items.size(),
-               plan.snapshot ? "frozen" : "uncached");
 
   long long flushes = 0;  // cumulative across leases, like `done`
-  std::string cmd;
   while (chan.recv(&cmd)) {
-    core::ProtocolMsg msg;
     if (!core::parse_protocol_line(cmd, &msg)) {
       std::fprintf(stderr, "epa: worker: malformed command '%s'\n",
                    cmd.c_str());
@@ -1062,6 +1118,13 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
     if (msg.type == core::ProtocolMsg::Type::steal) continue;  // the
     // benign race: the lease it wanted stolen finished before the
     // STEAL arrived; there is nothing left to yield.
+    if (msg.type == core::ProtocolMsg::Type::plan) {
+      // The plan switch (protocol v4): the fleet moves this worker on to
+      // the next plan of its suite.
+      install(recv_plan(chan, msg, frame_src), frame_src);
+      continue;
+    }
+    core::InjectionPlan& plan = held.plan;
     if (msg.type == core::ProtocolMsg::Type::feedback) {
       // The search plane's item append (protocol v3): the coordinator
       // generated items past the range this worker's plan copy carries.
@@ -1094,7 +1157,7 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
       // A search plan can start empty (every item arrives as
       // feedback); the prototype freeze was a no-op then, so pay it on
       // the first append instead.
-      if (opts.use_world_cache) core::refreeze_snapshot(plan, scenario);
+      if (opts.use_world_cache) core::refreeze_snapshot(plan, *held.scenario);
       continue;
     }
     if (msg.type != core::ProtocolMsg::Type::lease) {
@@ -1137,6 +1200,8 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
           if (core::parse_protocol_line(in, &m) &&
               m.type == core::ProtocolMsg::Type::steal)
             steal_requested = true;
+          else
+            chan.defer(std::move(in));
         }
         // Honor a STEAL only once a chunk has landed — the yielded
         // split point must sit strictly inside the lease.
@@ -1156,7 +1221,7 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
       };
     }
     core::ShardReport report =
-        core::run_lease(executor, plan, begin, end, opts, hooks);
+        core::run_lease(*held.executor, plan, begin, end, opts, hooks);
     if (!report.complete && g_preempted) {
       // Preempted mid-lease: exit *without* DONE — a DONE always names
       // a complete report; the orchestrator re-drains the whole range.
@@ -1192,17 +1257,17 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
 }
 
 /// The persistent worker half of the orchestrator: parse the plan and
-/// re-freeze the COW prototype exactly once, then serve LEASE commands
-/// until EXIT/EOF. Every data plane is one framed session
-/// (core/protocol.hpp) — stdin/stdout for a plan file or --arena, the
-/// socket for --connect. The first frame out is always `HELLO <version>`
-/// (a coordinator speaking a different protocol rejects the worker
-/// before any lease is granted) and the last is `BYE <status>`.
-/// Everything human-facing goes to stderr. SIGTERM is graceful
-/// preemption: with --checkpoint the in-flight lease stops at the next
-/// chunk boundary (no DONE, exit 4); without it the in-flight lease
-/// finishes and the *next* one is refused with exit 4. Either way the
-/// orchestrator re-leases the unfinished range.
+/// re-freeze the COW prototype once per plan, then serve LEASE commands
+/// until EXIT/EOF; a PLAN message swaps in the next plan of a suite.
+/// Every data plane is one framed session (core/protocol.hpp) —
+/// stdin/stdout for a plan file or --arena, the socket for --connect. The
+/// first frame out is always `HELLO <version>` (a coordinator speaking a
+/// different protocol rejects the worker before any lease is granted) and
+/// the last is `BYE <status>`. Everything human-facing goes to stderr.
+/// SIGTERM is graceful preemption: with --checkpoint the in-flight lease
+/// stops at the next chunk boundary (no DONE, exit 4); without it the
+/// in-flight lease finishes and the *next* one is refused with exit 4.
+/// Either way the orchestrator re-leases the unfinished range.
 ///
 /// With --checkpoint the worker also sends a PING heartbeat after every
 /// chunk (feeding the coordinator's deadman) and polls for STEAL between
@@ -1211,12 +1276,13 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
 /// re-leases the tail to an idle worker.
 ///
 /// Every lease is `LEASE <begin> <end> -`, and each DONE is followed by
-/// the lease's binary report frame. Only where the plan comes from
-/// differs:
+/// the lease's binary report frame. Every plan after the first arrives
+/// as `PLAN <items>` and a binary plan frame. Only where the first plan
+/// comes from differs:
 ///   plan file  parsed from the file (JSON or binary).
 ///   --arena    decoded from the arena's mapping (core/arena.hpp).
-///   --connect  HELLO up, the binary plan down as the first frame, then
-///              the same exchange over the socket.
+///   --connect  HELLO up, PLAN and the binary plan down, then the same
+///              exchange over the socket.
 int cmd_worker(const Args& a) {
   const bool use_tcp = a.has("--connect");
   const std::string target = a.text("--connect");
@@ -1419,24 +1485,45 @@ int cmd_orchestrate(const Args& a) {
   const DataPlane plane = data_plane(a);
   const FleetDir dir(a, plane != DataPlane::tcp);
 
-  core::SweepResult sweep;
-  for (const core::Scenario& scenario : scenarios) {
-    // The coordinator plans in-process and keeps the plan in memory for
-    // the merge; only workers pay a plan parse (once per process).
-    core::CampaignOptions popts;
-    popts.use_world_cache = false;  // the plan file carries no snapshot
-    popts.use_redzone = !a.has("--no-redzone");
-    double plan_ms = 0;
-    core::InjectionPlan plan = timed_plan(scenario, popts, &plan_ms);
-    core::OrchestratorOptions oopts =
-        fleet_options(a, scenario.name, plan.items.size(), plan_ms);
-    std::unique_ptr<core::Transport> transport =
-        make_transport(a, oopts.workers, dir.path(), plan);
-    core::OrchestratorStats stats;
-    sweep.results.push_back(
-        core::orchestrate(plan, *transport, oopts, &stats));
-    report_fleet(a, scenario.name, oopts, stats);
+  // The coordinator plans every scenario in-process up front, fanned
+  // over one thread per worker, and keeps the plans in memory for the
+  // merge; only workers pay a plan parse (once per plan).
+  const std::size_t n = scenarios.size();
+  core::CampaignOptions popts;
+  popts.use_world_cache = false;  // the plan file carries no snapshot
+  popts.use_redzone = !a.has("--no-redzone");
+  std::vector<core::InjectionPlan> plans(n);
+  std::vector<double> plan_ms(n);
+  (void)core::FaultCatalog::standard();  // complete before any thread
+  core::parallel_for(n, static_cast<int>(a.num("--workers", 2)),
+                     [&](std::size_t i) {
+                       plans[i] = timed_plan(scenarios[i], popts, &plan_ms[i]);
+                     });
+
+  // One fleet for the whole suite, draining every plan as one lease
+  // queue (Fleet::drain of lanes): the transport is built around the
+  // first plan (the one every spawned worker starts with), and a worker
+  // gets each later plan as a PLAN message with its first lease of it.
+  std::vector<core::OrchestratorOptions> oopts;
+  std::vector<core::PlanWorkSource> sources;
+  std::vector<core::OrchestratorStats> stats(n);
+  std::vector<core::Fleet::Lane> lanes;
+  sources.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    oopts.push_back(fleet_options(a, scenarios[i].name,
+                                  plans[i].items.size(), plan_ms[i]));
+    sources.emplace_back(plans[i]);
+    lanes.push_back({&sources[i], oopts[i].lease_items, &stats[i]});
   }
+  std::unique_ptr<core::Transport> transport =
+      make_transport(a, oopts.front().workers, dir.path(), plans.front());
+  core::Fleet fleet(*transport, oopts.front());
+  core::SweepResult sweep;
+  sweep.results = fleet.drain(lanes);
+  // Shutdown's deadman kills count toward the last plan's line.
+  fleet.close(&stats.back());
+  for (std::size_t i = 0; i < n; ++i)
+    report_fleet(a, scenarios[i].name, oopts[i], stats[i]);
   if (dir.kept())
     std::fprintf(stderr, "epa orchestrate: %s files in %s\n",
                  plane == DataPlane::shm ? "arena" : "plan",
@@ -1449,8 +1536,9 @@ int cmd_orchestrate(const Args& a) {
 // --- coverage-guided search (core/search.hpp, docs/SEARCH.md) ---------------
 
 /// The search drive: one SearchWorkSource per scenario, drained either
-/// in-process (run_search) or across a worker fleet (orchestrate_source
-/// — the workers learn generated items via protocol FEEDBACK). A family
+/// in-process (run_search) or across one worker fleet shared by every
+/// member (Fleet::drain — the workers learn generated items via protocol
+/// FEEDBACK and each member's plan via PLAN). A family
 /// search runs its members sequentially through ONE shared NoveltyScorer
 /// with the budget split evenly (remainder to the first member), so a
 /// class fired by member one stops paying rent in member two. Exit
@@ -1465,6 +1553,8 @@ int cmd_search(const Args& a) {
   const std::size_t budget = static_cast<std::size_t>(a.num("--budget", 0));
 
   core::NoveltyScorer scorer;  // shared across family members
+  std::unique_ptr<core::Transport> transport;  // --workers: one fleet
+  std::optional<core::Fleet> fleet;
   core::SweepResult sweep;
   std::size_t exhaustive_items = 0;
   std::size_t generated_items = 0;
@@ -1526,12 +1616,15 @@ int cmd_search(const Args& a) {
       // against the wave, not the (unbounded) generated stream.
       core::OrchestratorOptions oopts =
           fleet_options(a, scenario.name, sopts.batch, plan_ms);
-      const std::size_t known = source.plan().items.size();
-      std::unique_ptr<core::Transport> transport =
-          make_transport(a, oopts.workers, dir.path(), source.plan());
+      // One fleet for every member, built around the first member's
+      // plan; later members reach the workers as PLAN messages.
+      if (!fleet) {
+        transport = make_transport(a, oopts.workers, dir.path(), source.plan());
+        fleet.emplace(*transport, oopts);
+      }
       core::OrchestratorStats stats;
-      result = core::orchestrate_source(source, *transport, oopts, &stats,
-                                        known);
+      result = fleet->drain(source, oopts.lease_items, &stats);
+      if (m + 1 == scenarios.size()) fleet->close(&stats);
       report_fleet(a, scenario.name, oopts, stats);
     }
     generated_items += source.plan().items.size();
@@ -1574,10 +1667,6 @@ const Rule kDrainNeedsCheckpoint{
     Rule::needs, {"--drain-delay-ms"}, {"--checkpoint"},
     "--drain-delay-ms needs --checkpoint (the delay is applied per "
     "checkpoint chunk)"};
-const Rule kOnePlanOnTcp{
-    Rule::excludes, {"--all", "--family"}, {"--data-plane=tcp"},
-    "%s needs the pipe or shm data plane (a tcp fleet parses one plan at "
-    "connect time)"};
 const Rule kTcpWorkerSide{Rule::worker_side, {}, {"--data-plane=tcp"}};
 const Rule kTcpOnly{Rule::needs, {"--listen", "--port-file"},
                     {"--data-plane=tcp"}, "%s needs --data-plane tcp"};
@@ -1641,7 +1730,7 @@ const std::vector<Command> kCommands = {
       kJson, kJobs, kPreemptAfter, kCheckpoint, kDrainDelay, kNoWorldCache,
       kNoRedzone, kDir},
      {{Rule::one_of, {"--all", "<scenario>", "--scenario-file"}, {}},
-      kOnePlanOnTcp, kTcpWorkerSide, kTcpOnly,
+      kTcpWorkerSide, kTcpOnly,
       {Rule::needs, {"--deadman-ms"}, {"--checkpoint", "--data-plane=tcp"},
        "--deadman-ms needs --checkpoint on the pipe/shm data planes "
        "(heartbeats are sent at checkpoint flushes)"},
@@ -1670,7 +1759,7 @@ const std::vector<Command> kCommands = {
        "would just discard the waves)"},
       {Rule::needs, {"--data-plane=tcp"}, {"--workers"},
        "--data-plane tcp needs --workers N"},
-      kOnePlanOnTcp, kTcpWorkerSide, kTcpOnly,
+      kTcpWorkerSide, kTcpOnly,
       {Rule::needs, {"--lease", "--data-plane", "--dir"}, {"--workers"},
        "%s needs --workers N"}}},
 };

@@ -7,10 +7,16 @@
 // so a slow worker holds up one lease, not 1/N of the campaign, and a
 // preempted worker's unfinished lease is simply re-leased to whoever is
 // alive. Workers are *persistent*: they parse the plan and re-freeze the
-// COW prototype once per process, then drain any number of leases — the
+// COW prototype once per plan, then drain any number of leases — the
 // per-process costs that dominate the static-shard overhead
 // (BENCH_perf_injection.json's shard_wire_overhead_pct) are paid once,
-// not once per work slice.
+// not once per work slice. A Fleet (below) keeps its workers across a
+// whole suite of plans, switching each worker's one plan with
+// Transport::load(), and can drain the suite's plans as one lease queue.
+// On a transport whose workers read their commands in order
+// (Transport::lease_depth() > 1) it queues a worker's next lease behind
+// the one it drains, so no worker waits on the coordinator between two
+// leases.
 //
 // Liveness is event-driven, not exit-driven: with a remote transport a
 // dead host never delivers an exit status, so workers heartbeat (PING at
@@ -42,7 +48,9 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <functional>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -110,6 +118,13 @@ class Transport {
   /// that already died is not an error here — the death surfaces as a
   /// preempted/died event from wait_any() and the lease is re-leased.
   virtual void submit(std::size_t worker, const Lease& lease) = 0;
+  /// How many leases one worker may hold at once: the one it drains plus
+  /// any queued behind it, finished (lease_done) in submit order. Above
+  /// 1, a worker's next lease is already there when it finishes the
+  /// current one, so it never idles through a round trip to the
+  /// coordinator between two leases. A worker's death returns every
+  /// lease it holds. Default 1: one lease at a time.
+  virtual std::size_t lease_depth() const { return 1; }
   /// Ask `worker` to yield the undrained tail of its in-flight lease at
   /// its next checkpoint boundary. Best-effort: a worker that finishes
   /// first just sends its DONE and the steal is moot. Default: no-op.
@@ -129,6 +144,19 @@ class Transport {
     throw OrchestratorError(
         "orchestrate: this transport does not support search feedback "
         "(FEEDBACK is worker protocol v3)");
+  }
+  /// Replace the plan `worker` holds with `plan` (the PLAN protocol
+  /// message, then the binary plan frame) — how a Fleet moves a live
+  /// worker on to the next plan of a suite. The worker resolves the new
+  /// scenario and refreezes its prototype before serving the lease that
+  /// follows. Transports that predate plan switching inherit the
+  /// throwing default; a Fleet calls this only on a multi-plan run.
+  virtual void load(std::size_t worker, const InjectionPlan& plan) {
+    (void)worker;
+    (void)plan;
+    throw OrchestratorError(
+        "orchestrate: this transport cannot switch a worker's plan (PLAN "
+        "is worker protocol v4)");
   }
   /// Block until any worker produces an event, or `timeout_ms`
   /// milliseconds pass (nullopt — the deadman's polling edge).
@@ -201,32 +229,127 @@ struct OrchestratorStats {
   std::size_t deadman_expiries = 0;  ///< silent workers the deadman shot
 };
 
+/// A worker fleet that outlives one plan: the slot table, spawn and
+/// refill, the respawn budget, the deadman, and shutdown/reap, shared by
+/// any number of drains. `epa_cli orchestrate --all` and `search --family
+/// --workers` start their workers once and drain every scenario through
+/// them; orchestrate() is a one-drain fleet.
+///
+/// Each drain is a campaign of its own — its own lease seqs, split
+/// budget and stats — over its own plan. A worker holds exactly one plan
+/// at a time, and each slot records which drain's plan that is: before a
+/// worker's first grant in a drain whose plan it does not hold, the
+/// fleet calls Transport::load() with the drain's plan, so no lease ever
+/// reaches a worker holding another plan.
+///
+/// Precondition: every worker the transport spawns (at any time, in any
+/// drain) starts out holding the transport's construction plan, and that
+/// plan is the first drain's (the first lane's) `source.plan()` as it
+/// stands when that drain starts. A replacement spawned mid-suite is
+/// therefore loaded before its first grant like any other worker behind
+/// on plans.
+class Fleet {
+ public:
+  /// `opts.workers`, `max_respawns`, `deadman_ms` and `now_ms` hold for
+  /// the fleet's whole life; `opts.lease_items` is unused (each drain
+  /// names its own grain). Throws OrchestratorError when opts.workers < 1.
+  Fleet(Transport& transport, OrchestratorOptions opts);
+  Fleet(const Fleet&) = delete;
+  Fleet& operator=(const Fleet&) = delete;
+
+  /// Drain one WorkSource wave by wave under dynamic leases cut at
+  /// `lease_items` (0 = auto_lease_grain() per wave) and merge the lease
+  /// reports into the CampaignResult a single process would have
+  /// produced. Each wave is absorbed back into the source before the
+  /// next is generated — the feedback loop that drives coverage-guided
+  /// search. A worker that predates items appended to the plan gets them
+  /// via Transport::feedback before its lease is submitted; a fixed plan
+  /// never sends FEEDBACK. The result merges every wave's lease reports,
+  /// plus any checkpoint-replayed reports the source carries.
+  ///
+  /// `*stats` is reset and describes this drain only. Spawns the fleet
+  /// on first use and refills it as needed. Throws OrchestratorError on
+  /// worker failure or budget exhaustion, WireError if a worker's report
+  /// does not add back up to the plan.
+  CampaignResult drain(WorkSource& source, std::size_t lease_items,
+                       OrchestratorStats* stats = nullptr);
+
+  /// One work source of a suite drain: the source, its lease grain
+  /// (0 = auto_lease_grain() per wave) and where its stats go (may be
+  /// null).
+  struct Lane {
+    WorkSource* source = nullptr;
+    std::size_t lease_items = 0;
+    OrchestratorStats* stats = nullptr;
+  };
+
+  /// Drain a suite of independent work sources as one lease queue: each
+  /// lane is a drain of its own (plan, waves, seqs, split budget, stats
+  /// and merge, exactly as drain() would run it), but lane i+1's leases
+  /// queue right behind lane i's, so a worker out of lane i's work moves
+  /// on to the next plan instead of idling until lane i's stragglers
+  /// finish. Results come back in lane order. Lanes' waves interleave,
+  /// so no lane's wave generation may depend on another lane's outcomes
+  /// (a family search's shared scorer does: it drains member by member).
+  /// Spawned workers and preemptions count toward the lane being
+  /// drained at the time.
+  std::vector<CampaignResult> drain(const std::vector<Lane>& lanes);
+
+  /// Release the fleet: EXIT to every live worker, then reap every exit.
+  /// A worker may exit 4 here (preempted while idle) — harmless now.
+  /// With the deadman on, a worker that neither exits nor heartbeats
+  /// within the window is killed (counted into `stats`, not reset).
+  /// The last call on a fleet. A fleet destroyed without close() leaves
+  /// its workers to the transport's destructor — the error path.
+  void close(OrchestratorStats* stats = nullptr);
+
+ private:
+  /// A lease of the current drain, with the index of its lane.
+  struct Held {
+    std::size_t lane = 0;
+    Lease lease;
+  };
+  struct Slot {
+    bool live = false;
+    bool steal_pending = false;  // STEAL sent, YIELD (or DONE) awaited
+    std::deque<Held> leases;     // held, in grant order; front in flight
+    long long last_heard = 0;    // grant or any event; the deadman input
+    std::size_t plan = 0;        // index of the drain whose plan it holds
+    std::size_t known = 0;       // items of that plan it has been shipped
+    bool busy() const { return !leases.empty(); }
+  };
+  using Stats = std::vector<OrchestratorStats*>;  // per lane
+
+  bool spawn_one(OrchestratorStats& st);
+  std::size_t busy_count() const;
+  void refill(std::size_t pending, OrchestratorStats& st);
+  bool reap_expired(std::deque<Held>& pending, const Stats& st);
+  void release(Slot& slot, std::deque<Held>& pending, const Stats& st);
+  long poll_timeout() const;
+
+  Transport& transport_;
+  OrchestratorOptions opts_;
+  std::size_t workers_;
+  std::function<long long()> now_;
+  std::size_t spawn_items_ = 0;    // the construction plan's item count
+  std::map<std::size_t, Slot> slots_;
+  std::size_t live_ = 0;
+  bool spawned_ = false;           // the initial fleet has been started
+  std::size_t drain_ = 0;          // index of the next drain (a lane
+                                   // of a suite drain is one drain)
+  std::size_t leases_dealt_ = 0;   // every drain's partitions, for the
+                                   // auto respawn budget
+  std::size_t respawns_used_ = 0;
+};
+
 /// Drain `plan` through the transport's workers under dynamic leases and
 /// merge the lease reports into the CampaignResult a single process
 /// would have produced — byte-identical output for any worker count,
-/// lease size, preemption pattern, or steal schedule. Throws
-/// OrchestratorError on worker failure or budget exhaustion, WireError
-/// if a worker's report does not add back up to the plan.
+/// lease size, preemption pattern, or steal schedule. A one-drain Fleet.
+/// Throws OrchestratorError on worker failure or budget exhaustion,
+/// WireError if a worker's report does not add back up to the plan.
 CampaignResult orchestrate(const InjectionPlan& plan, Transport& transport,
                            const OrchestratorOptions& opts = {},
                            OrchestratorStats* stats = nullptr);
-
-/// The generalized drain behind orchestrate(): lease out a WorkSource's
-/// item stream wave by wave. Each wave is partitioned into leases by
-/// lease_partition() (applied to the wave size, offset to the wave),
-/// drained by the persistent fleet, and absorbed back into the source
-/// before the next wave is generated — the feedback loop that drives
-/// coverage-guided search. Workers that predate appended items get them
-/// via Transport::feedback before their lease is submitted;
-/// `known_items` says how many plan items the workers' serialized plan
-/// copies already carry (orchestrate() passes the full plan size, so
-/// the exhaustive path never sends FEEDBACK and stays byte-identical).
-/// The final result merges every wave's lease reports — plus any
-/// checkpoint-replayed reports the source carries — exactly like
-/// orchestrate() merges its single wave.
-CampaignResult orchestrate_source(WorkSource& source, Transport& transport,
-                                  const OrchestratorOptions& opts,
-                                  OrchestratorStats* stats,
-                                  std::size_t known_items);
 
 }  // namespace ep::core

@@ -116,6 +116,9 @@ bool parse_protocol_line(const std::string& line, ProtocolMsg* out) {
     if (!sc.space() || !sc.size(&msg.begin) || !sc.space() ||
         !sc.size(&msg.end) || !sc.space() || !sc.token_to_end(&msg.target))
       return false;
+  } else if (sc.literal("PLAN")) {
+    msg.type = ProtocolMsg::Type::plan;
+    if (!sc.space() || !sc.size(&msg.end) || !sc.at_end()) return false;
   } else if (sc.literal("STEAL")) {
     msg.type = ProtocolMsg::Type::steal;
     if (!sc.at_end()) return false;
@@ -159,6 +162,10 @@ std::string format_feedback(std::size_t begin, std::size_t end,
          " " + spec;
 }
 
+std::string format_plan(std::size_t items) {
+  return "PLAN " + std::to_string(items);
+}
+
 std::string format_steal() { return "STEAL"; }
 
 std::string format_exit() { return "EXIT"; }
@@ -179,6 +186,8 @@ std::string format_protocol_msg(const ProtocolMsg& msg) {
       return format_lease(msg.begin, msg.end, msg.target);
     case ProtocolMsg::Type::feedback:
       return format_feedback(msg.begin, msg.end, msg.target);
+    case ProtocolMsg::Type::plan:
+      return format_plan(msg.end);
     case ProtocolMsg::Type::steal:
       return format_steal();
     case ProtocolMsg::Type::exit_cmd:

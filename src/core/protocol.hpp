@@ -9,8 +9,9 @@
 // channel, whatever the fd underneath. Binary payloads (a plan, a lease
 // report) ride in the same frames as the lines.
 //
-// Version 3 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
-// version 3 adds FEEDBACK, the search-plane item append):
+// Version 4 grammar (version 1 had no HELLO/PING/STEAL/YIELD/BYE;
+// version 3 added FEEDBACK, the search plane's item append; version 4
+// adds PLAN, the plan switch that lets one fleet drain a whole suite):
 //
 //   worker -> coordinator
 //     HELLO <version>                 first message a worker ever sends
@@ -25,6 +26,12 @@
 //                                     coordinator cannot wait(2) (tcp)
 //
 //   coordinator -> worker
+//     PLAN <items>                    the next frame is a binary plan of
+//                                     <items> items; the worker drops the
+//                                     plan it holds and serves this one.
+//                                     tcp's handshake sends a worker its
+//                                     first plan this way; every later
+//                                     plan arrives this way on every plane
 //     LEASE <begin> <end> <target>    target: `-`, the only value a
 //                                     worker accepts (the report returns
 //                                     as the frame after DONE)
@@ -37,6 +44,15 @@
 //     STEAL                           yield the undrained tail of the
 //                                     current lease at the next checkpoint
 //     EXIT                            finish up and exit 0
+//
+// A worker holds exactly one plan: PLAN replaces it (scenario resolved,
+// prototype refrozen, executor rebuilt), so a worker's memory is that of
+// one plan however many it serves.
+//
+// A worker reads its commands in order, so a LEASE of the plan it holds
+// may arrive while the previous lease is still draining: it waits queued
+// in the stream, and each DONE names the oldest lease not yet reported.
+// STEAL only reaches a worker holding a single lease.
 //
 // A worker that opens with anything but `HELLO <kWorkerProtocolVersion>`
 // is rejected with a diagnostic naming both versions — old fleets fail
@@ -57,7 +73,7 @@ namespace ep::core {
 /// The control-protocol version this build speaks. Bumped whenever the
 /// grammar above changes incompatibly; the HELLO handshake enforces
 /// agreement before any lease is granted.
-inline constexpr long long kWorkerProtocolVersion = 3;
+inline constexpr long long kWorkerProtocolVersion = 4;
 
 /// One parsed protocol message, either direction.
 struct ProtocolMsg {
@@ -69,13 +85,14 @@ struct ProtocolMsg {
     bye,    ///< status
     lease,  ///< begin, end, target
     feedback,  ///< begin, end, target = the item spec token
+    plan,      ///< end = the item count of the plan frame that follows
     steal,
     exit_cmd,
   };
   Type type = Type::ping;
   long long version = 0;        // hello
   std::size_t begin = 0;        // lease, done, feedback; yield's split point
-  std::size_t end = 0;          // lease, done, yield, feedback
+  std::size_t end = 0;          // lease, done, yield, feedback, plan
   std::string target;           // lease; feedback's item spec
   int status = 0;               // bye
 };
@@ -97,6 +114,7 @@ std::string format_lease(std::size_t begin, std::size_t end,
                          const std::string& target);
 std::string format_feedback(std::size_t begin, std::size_t end,
                             const std::string& spec);
+std::string format_plan(std::size_t items);
 std::string format_steal();
 std::string format_exit();
 

@@ -133,7 +133,7 @@ SearchState search_state_from_json(const std::string& text);
 /// frontier. Construct from the *exhaustive* plan of the same scenario
 /// and options (the base plan's items are the initial frontier, its
 /// points/snapshot carry over), optionally sharing a scorer across a
-/// family; then drain through run_search() or orchestrate_source().
+/// family; then drain through run_search() or Fleet::drain().
 class SearchWorkSource : public WorkSource {
  public:
   /// `base` is the scenario's exhaustive plan (every candidate, param
@@ -204,7 +204,7 @@ class SearchWorkSource : public WorkSource {
 };
 
 /// The local (in-process) search drive, mirroring what
-/// orchestrate_source() does across a worker fleet: loop next_wave ->
+/// Fleet::drain() does across a worker fleet: loop next_wave ->
 /// run_lease -> absorb until the source is exhausted or
 /// `stop_after_waves` barriers have passed, then merge every wave's
 /// lease report — replayed checkpoint waves included — into the

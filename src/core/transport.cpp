@@ -71,9 +71,12 @@ bool WorkerSession::send(const std::string& payload) {
 }
 
 void WorkerSession::grant(const Lease& lease) {
-  has_lease_ = true;
-  lease_ = lease;
+  leases_.push_back(lease);
   send(format_lease(lease.begin, lease.end, "-"));
+}
+
+bool WorkerSession::load(std::size_t items, const std::string& plan_wire) {
+  return send(format_plan(items)) && send(plan_wire);
 }
 
 void WorkerSession::shutdown() {
@@ -118,19 +121,19 @@ void WorkerSession::fail(const std::string& why) const {
 std::optional<WorkerEvent> WorkerSession::on_frame(const std::string& frame) {
   WorkerEvent ev;
   ev.worker = id_;
-  ev.lease = lease_;
+  if (!leases_.empty()) ev.lease = leases_.front();
 
   if (awaiting_report_) {
     awaiting_report_ = false;
-    has_lease_ = false;
+    leases_.pop_front();
     ev.kind = WorkerEvent::Kind::lease_done;
     ev.label = "worker " + std::to_string(id_) + " lease " +
-               std::to_string(lease_.seq);
+               std::to_string(ev.lease.seq);
     try {
       ev.report = shard_report_from_binary(frame.data(), frame.size());
     } catch (const WireError& e) {
       fail("sent a bad report frame for lease " +
-           std::to_string(lease_.seq) + ": " + e.what());
+           std::to_string(ev.lease.seq) + ": " + e.what());
     }
     return ev;
   }
@@ -162,15 +165,18 @@ std::optional<WorkerEvent> WorkerSession::on_frame(const std::string& frame) {
       // YIELD <mid> <end>: the worker keeps [begin, mid) of its lease and
       // surrenders [mid, end). Shrink our record so the upcoming
       // DONE <begin> <mid> matches it.
-      if (!has_lease_ || msg.begin <= lease_.begin ||
-          msg.begin >= lease_.end || msg.end != lease_.end)
+      if (leases_.empty() || msg.begin <= leases_.front().begin ||
+          msg.begin >= leases_.front().end ||
+          msg.end != leases_.front().end)
         fail("sent an unexpected yield '" + frame + "'");
       ev.kind = WorkerEvent::Kind::lease_yielded;
       ev.yield_mid = msg.begin;
-      lease_.end = msg.begin;
+      leases_.front().end = msg.begin;
       return ev;
     case ProtocolMsg::Type::done:
-      if (!has_lease_ || msg.begin != lease_.begin || msg.end != lease_.end)
+      // Leases finish in grant order: a DONE names the oldest one.
+      if (leases_.empty() || msg.begin != leases_.front().begin ||
+          msg.end != leases_.front().end)
         fail("sent a DONE '" + frame + "' that matches no lease it holds");
       awaiting_report_ = true;
       return std::nullopt;  // the next frame carries the report
@@ -180,8 +186,8 @@ std::optional<WorkerEvent> WorkerSession::on_frame(const std::string& frame) {
       bye_status_ = msg.status;
       return std::nullopt;
     default:
-      // A second HELLO; LEASE/FEEDBACK/STEAL/EXIT are coordinator-to-
-      // worker only.
+      // A second HELLO; PLAN/LEASE/FEEDBACK/STEAL/EXIT are coordinator-
+      // to-worker only.
       fail("sent an unexpected protocol message '" + frame + "'");
   }
 }
@@ -211,6 +217,10 @@ void FramedTransport::feedback(std::size_t worker, const InjectionPlan& plan,
                                std::size_t begin, std::size_t end) {
   session(worker, "feedback")
       .send(format_feedback(begin, end, feedback_spec(plan, begin, end)));
+}
+
+void FramedTransport::load(std::size_t worker, const InjectionPlan& plan) {
+  session(worker, "load").load(plan.items.size(), plan_to_binary(plan));
 }
 
 void FramedTransport::shutdown(std::size_t worker) {

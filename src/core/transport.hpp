@@ -9,13 +9,13 @@
 // the lease report — the binary frame right after DONE, on every plane —
 // and records BYE.
 //
-// FramedTransport is a Transport over a fleet of sessions: LEASE, STEAL,
-// FEEDBACK and EXIT go out as frames, and wait_any() is the one poll loop
-// over every session's read end. A subclass says only how a worker's fds
-// are obtained (spawn) and how a closed worker's death is classified
-// (reap). net::TcpTransport (net/transport_tcp.hpp) is the remote
-// subclass; the two here fork/exec `epa_cli worker` on this machine, and
-// differ only in how the plan reaches the worker:
+// FramedTransport is a Transport over a fleet of sessions: PLAN, LEASE, STEAL,
+// FEEDBACK and EXIT go out as frames, and wait_any() is the one poll loop over
+// every session's read end. A subclass says only how a worker's fds are
+// obtained (spawn) and how a closed worker's death is classified (reap).
+// net::TcpTransport (net/transport_tcp.hpp) is the remote subclass; the two
+// here fork/exec `epa_cli worker` on this machine, and differ only in how
+// the first plan reaches the worker (every later one is a PLAN frame):
 //
 //   LocalProcessTransport  the pipe plane: the plan travels as a JSON
 //                          file.
@@ -27,7 +27,7 @@
 // the worker's stdout.
 //
 // Worker stderr is inherited (progress and diagnostics pass through);
-// stdout carries frames only, starting with `HELLO 3`. Exit statuses
+// stdout carries frames only, starting with `HELLO 4`. Exit statuses
 // mirror run-shard: 0 clean, 1 failure, 4 preempted (SIGTERM — the
 // worker finishes its in-flight lease, then refuses the next one). A
 // local worker's death is classified from its wait(2) status: exit 0 is
@@ -76,8 +76,13 @@ class WorkerSession {
   bool send(const std::string& payload);
   /// LEASE `lease` (report target `-`: the report returns as the frame
   /// after DONE); the lease is remembered so YIELD and DONE can be
-  /// checked against it.
+  /// checked against it. A lease granted while another is in flight
+  /// queues behind it: the worker drains its leases in grant order.
   void grant(const Lease& lease);
+  /// PLAN <items>, then `plan_wire` (a binary plan of `items` items) as
+  /// the next frame: the worker replaces the plan it holds. Best effort
+  /// like send().
+  bool load(std::size_t items, const std::string& plan_wire);
   /// EXIT, then close the write end when it is its own fd (a pipe): EOF
   /// ends the worker loop even if EXIT was lost to a half-dead worker. A
   /// socket stays open — the BYE still has to arrive.
@@ -109,20 +114,26 @@ class WorkerSession {
   bool said_hello_ = false;
   bool said_bye_ = false;
   int bye_status_ = 0;
-  bool has_lease_ = false;
   bool awaiting_report_ = false;  // DONE seen; the next frame is the report
-  Lease lease_;  // shrinks in place when the worker YIELDs a tail
+  // Granted and not yet reported, in grant order; the front is in
+  // flight and shrinks in place when the worker YIELDs a tail.
+  std::deque<Lease> leases_;
 };
 
 /// A Transport over framed worker sessions; see the file comment.
 class FramedTransport : public Transport {
  public:
+  /// 2: a worker reads its session in order, so its next LEASE waits in
+  /// the stream while it drains the current one.
+  std::size_t lease_depth() const override { return 2; }
   void submit(std::size_t worker, const Lease& lease) override;
   void steal(std::size_t worker) override;
   /// FEEDBACK to the worker — the search plane's item append; the item
   /// spec rides as one token (wire.hpp's feedback_spec()).
   void feedback(std::size_t worker, const InjectionPlan& plan,
                 std::size_t begin, std::size_t end) override;
+  /// PLAN to the worker, then the plan's binary frame.
+  void load(std::size_t worker, const InjectionPlan& plan) override;
   std::optional<WorkerEvent> wait_any(long timeout_ms) override;
   void shutdown(std::size_t worker) override;
 

@@ -24,6 +24,15 @@ using core::OrchestratorError;
   throw OrchestratorError(what + ": " + std::strerror(errno));
 }
 
+/// Frames are small request/response messages (LEASE out, DONE and its
+/// report back): with Nagle's algorithm on, a frame written while the
+/// previous one is unacknowledged waits out the peer's delayed ACK, tens
+/// of milliseconds per lease.
+void set_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
 }  // namespace
 
 int tcp_listen(int port, int* bound_port) {
@@ -69,7 +78,10 @@ int tcp_accept(int listen_fd, long timeout_ms) {
     }
     if (ready == 0) return -1;
     int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return fd;
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return fd;
+    }
     if (errno == EINTR || errno == ECONNABORTED) continue;
     sys_fail("accept");
   }
@@ -93,7 +105,10 @@ int tcp_connect(const std::string& host, int port) {
       saved = errno;
       continue;
     }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
+      set_nodelay(fd);
+      break;
+    }
     saved = errno;
     ::close(fd);
     fd = -1;
@@ -108,7 +123,9 @@ int tcp_connect(const std::string& host, int port) {
 
 TcpTransport::TcpTransport(TcpTransportConfig config,
                            const core::InjectionPlan& plan)
-    : config_(std::move(config)), plan_wire_(core::plan_to_binary(plan)) {
+    : config_(std::move(config)),
+      plan_items_(plan.items.size()),
+      plan_wire_(core::plan_to_binary(plan)) {
   // A worker can vanish between poll() and write(); EPIPE must surface
   // as a death event, not kill the coordinator.
   std::signal(SIGPIPE, SIG_IGN);
@@ -145,7 +162,8 @@ std::optional<std::size_t> TcpTransport::spawn() {
   core::WorkerSession& s = adopt(fd, fd);
   bool ok = false;
   try {
-    ok = s.handshake(config_.handshake_timeout_ms) && s.send(plan_wire_);
+    ok = s.handshake(config_.handshake_timeout_ms) &&
+         s.load(plan_items_, plan_wire_);
   } catch (...) {
     sessions_.pop_back();
     throw;

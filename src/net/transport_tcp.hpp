@@ -2,8 +2,10 @@
 // The coordinator listens; workers are started on any host (`epa_cli
 // worker --connect host:port`) and dial in. spawn() adopts a connection
 // from the accept queue, passes its first frame through the HELLO gate,
-// and ships the plan down the socket as one binary EPAB frame. From
-// there the socket is an ordinary framed worker session
+// and ships the plan down the socket as `PLAN <items>` followed by one
+// binary EPAB frame — the same message that switches any worker to a
+// later plan of a suite. From there the socket is an ordinary framed
+// worker session
 // (core/transport.hpp) — the same frames every data plane speaks, with
 // each lease report riding back as the binary frame after DONE.
 //
@@ -60,7 +62,8 @@ struct TcpTransportConfig {
 class TcpTransport : public core::FramedTransport {
  public:
   /// Binds and listens immediately; `plan` is encoded once and shipped
-  /// to every worker that completes the handshake.
+  /// (PLAN, then the binary frame) to every worker that completes the
+  /// handshake. A worker moves on to later plans through load().
   TcpTransport(TcpTransportConfig config, const core::InjectionPlan& plan);
   /// Closes every socket — workers see EOF and exit; none are left
   /// holding a dead coordinator's connection.
@@ -80,7 +83,8 @@ class TcpTransport : public core::FramedTransport {
 
  private:
   TcpTransportConfig config_;
-  std::string plan_wire_;  // binary EPAB plan, shipped per worker
+  std::size_t plan_items_;  // the handshake's PLAN <items>
+  std::string plan_wire_;   // binary EPAB plan, shipped per worker
   int listen_fd_ = -1;
   int port_ = 0;
   std::size_t accepted_ = 0;

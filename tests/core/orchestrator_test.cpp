@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -291,6 +294,288 @@ TEST(Orchestrator, EveryScenarioMatchesSingleProcessIncludingPreemption) {
       EXPECT_EQ(single_json, render_json(merged));
     }
   }
+}
+
+// --- One fleet, many plans (Fleet) -----------------------------------------
+
+/// A fake fleet whose workers each hold exactly one plan: spawn() starts
+/// a worker holding the construction plan, load() replaces it, and a
+/// lease runs against whatever the worker holds — so a lease reaching a
+/// worker that holds another plan drains the wrong items. Every load and
+/// submit is logged with the name of the plan the worker held for it.
+class PlanHoldingTransport : public Transport {
+ public:
+  struct Call {
+    std::size_t worker = 0;
+    char op = 'S';  // 'L' load, 'S' submit
+    std::string plan;
+  };
+
+  /// `scenarios` must outlive the transport; they resolve a held plan's
+  /// scenario name to an executor.
+  PlanHoldingTransport(const std::vector<Scenario>& scenarios,
+                       const InjectionPlan& construction)
+      : construction_(construction) {
+    for (const Scenario& s : scenarios) executors_.emplace(s.name, s);
+  }
+
+  /// Spawn order -> the plan name whose first lease kills that worker
+  /// (preempted, status 4); unset entries never die.
+  std::map<std::size_t, std::string> die_on_plan;
+  std::vector<Call> log;
+  /// lease_depth(): how many leases one worker may hold at once.
+  std::size_t depth = 1;
+  /// The most leases any one worker held at once.
+  std::size_t most_held = 0;
+
+  std::size_t lease_depth() const override { return depth; }
+  std::optional<std::size_t> spawn() override {
+    workers_.push_back({construction_, true});
+    return workers_.size() - 1;
+  }
+  // A load takes effect at once, so a load queued behind a lease would
+  // run that lease against the wrong plan.
+  void load(std::size_t worker, const InjectionPlan& plan) override {
+    workers_[worker].held = plan;
+    log.push_back({worker, 'L', plan.scenario_name});
+  }
+  void submit(std::size_t worker, const Lease& lease) override {
+    log.push_back({worker, 'S', workers_[worker].held.scenario_name});
+    queue_.push_back({worker, lease, false});
+    std::size_t held = 0;
+    for (const Pending& p : queue_)
+      if (p.worker == worker && !p.is_shutdown) ++held;
+    most_held = std::max(most_held, held);
+  }
+  void shutdown(std::size_t worker) override {
+    queue_.push_back({worker, {}, true});
+  }
+  void kill(std::size_t worker) override { workers_[worker].alive = false; }
+
+  std::optional<WorkerEvent> wait_any(long) override {
+    if (queue_.empty())
+      throw std::logic_error("wait_any with nothing outstanding");
+    Pending p = queue_.front();
+    queue_.pop_front();
+    Worker& w = workers_[p.worker];
+    WorkerEvent ev;
+    ev.worker = p.worker;
+    if (p.is_shutdown) {
+      w.alive = false;
+      ev.kind = WorkerEvent::Kind::exited;
+      return ev;
+    }
+    auto dies = die_on_plan.find(p.worker);
+    if (dies != die_on_plan.end() && dies->second == w.held.scenario_name) {
+      // A dead worker's queued commands die with it.
+      w.alive = false;
+      for (auto it = queue_.begin(); it != queue_.end();)
+        it = it->worker == p.worker ? queue_.erase(it) : it + 1;
+      ev.kind = WorkerEvent::Kind::preempted;
+      ev.status = 4;
+      return ev;
+    }
+    ShardReport report =
+        run_lease(executors_.at(w.held.scenario_name), w.held,
+                  p.lease.begin, p.lease.end);
+    ev.kind = WorkerEvent::Kind::lease_done;
+    ev.lease = p.lease;
+    ev.report = shard_report_from_json(report.to_json());
+    return ev;
+  }
+
+ private:
+  struct Worker {
+    InjectionPlan held;
+    bool alive = true;
+  };
+  struct Pending {
+    std::size_t worker = 0;
+    Lease lease;
+    bool is_shutdown = false;
+  };
+
+  const InjectionPlan& construction_;
+  std::map<std::string, Executor> executors_;
+  std::vector<Worker> workers_;
+  std::deque<Pending> queue_;
+};
+
+/// Two plans of different scenarios, and what one process makes of each.
+struct TwoPlans {
+  std::vector<Scenario> scenarios = {toy_scenario("toy"),
+                                     toy_scenario("toy-hardened", true)};
+  std::vector<InjectionPlan> plans;
+  std::vector<std::string> single;
+
+  TwoPlans() {
+    CampaignOptions opts;
+    opts.use_world_cache = true;
+    for (const Scenario& s : scenarios) {
+      plans.push_back(Planner(s).plan(opts));
+      single.push_back(render_json(Executor(s).execute(plans.back())));
+    }
+  }
+};
+
+TEST(Fleet, EachWorkerIsLoadedOncePerPlanSwitch) {
+  TwoPlans two;
+  PlanHoldingTransport t(two.scenarios, two.plans[0]);
+  OrchestratorOptions opts;
+  opts.workers = 2;
+  Fleet fleet(t, opts);
+
+  OrchestratorStats first, second;
+  PlanWorkSource a(two.plans[0]), b(two.plans[1]);
+  EXPECT_EQ(render_json(fleet.drain(a, 1, &first)), two.single[0]);
+  const std::size_t first_calls = t.log.size();
+  EXPECT_EQ(render_json(fleet.drain(b, 1, &second)), two.single[1]);
+  fleet.close();
+
+  // Drain 1 runs on the construction plan: no loads. Drain 2 loads each
+  // worker exactly once, and every lease reaches a worker holding the
+  // drain's own plan.
+  std::map<std::size_t, int> loads;
+  for (std::size_t i = 0; i < t.log.size(); ++i) {
+    const auto& c = t.log[i];
+    const std::string& expected = i < first_calls ? "toy" : "toy-hardened";
+    EXPECT_EQ(c.plan, expected) << "call " << i << " op " << c.op;
+    if (c.op == 'L') ++loads[c.worker];
+    EXPECT_FALSE(c.op == 'L' && i < first_calls);
+  }
+  EXPECT_EQ(loads, (std::map<std::size_t, int>{{0, 1}, {1, 1}}));
+
+  // Stats describe one drain each.
+  EXPECT_EQ(first.leases_total, two.plans[0].items.size());
+  EXPECT_EQ(second.leases_total, two.plans[1].items.size());
+  EXPECT_EQ(first.leases_granted, first.leases_total);
+  EXPECT_EQ(second.leases_granted, second.leases_total);
+  EXPECT_EQ(first.workers_spawned, 2u);
+  EXPECT_EQ(second.workers_spawned, 0u);
+}
+
+TEST(Fleet, AWorkerSpawnedMidSuiteIsLoadedBeforeItsFirstGrant) {
+  TwoPlans two;
+  PlanHoldingTransport t(two.scenarios, two.plans[0]);
+  t.die_on_plan = {{1, "toy-hardened"}};  // worker 1 dies in drain 2
+  OrchestratorOptions opts;
+  opts.workers = 2;
+  Fleet fleet(t, opts);
+
+  OrchestratorStats first, second;
+  PlanWorkSource a(two.plans[0]), b(two.plans[1]);
+  EXPECT_EQ(render_json(fleet.drain(a, 1, &first)), two.single[0]);
+  EXPECT_EQ(render_json(fleet.drain(b, 1, &second)), two.single[1]);
+  fleet.close();
+
+  // The replacement starts on the construction plan (drain 1's) and must
+  // switch before any lease of drain 2 reaches it.
+  std::vector<PlanHoldingTransport::Call> replacement;
+  for (const auto& c : t.log)
+    if (c.worker == 2) replacement.push_back(c);
+  ASSERT_GE(replacement.size(), 2u);
+  EXPECT_EQ(replacement.front().op, 'L');
+  for (const auto& c : replacement) EXPECT_EQ(c.plan, "toy-hardened");
+
+  EXPECT_EQ(first.workers_preempted, 0u);
+  EXPECT_EQ(second.workers_spawned, 1u);
+  EXPECT_EQ(second.workers_preempted, 1u);
+  EXPECT_EQ(second.leases_released, 1u);
+  EXPECT_EQ(second.leases_granted, second.leases_total + 1);
+}
+
+TEST(Fleet, ASuiteDrainsAsOneQueueLaneByLane) {
+  TwoPlans two;
+  PlanHoldingTransport t(two.scenarios, two.plans[0]);
+  OrchestratorOptions opts;
+  opts.workers = 2;
+  Fleet fleet(t, opts);
+
+  OrchestratorStats first, second;
+  PlanWorkSource a(two.plans[0]), b(two.plans[1]);
+  std::vector<CampaignResult> results =
+      fleet.drain({{&a, 1, &first}, {&b, 1, &second}});
+  fleet.close();
+
+  // Each lane merges to what one process makes of its plan — every
+  // lease ran against the plan of its own lane.
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(render_json(results[0]), two.single[0]);
+  EXPECT_EQ(render_json(results[1]), two.single[1]);
+
+  // Lane 2's leases queue behind lane 1's: a worker switches plans once,
+  // and never back.
+  std::map<std::size_t, int> loads;
+  std::map<std::size_t, std::string> last;
+  for (const auto& c : t.log) {
+    if (c.op == 'L') ++loads[c.worker];
+    if (last[c.worker] == "toy-hardened") {
+      EXPECT_EQ(c.plan, "toy-hardened");
+    }
+    last[c.worker] = c.plan;
+  }
+  EXPECT_EQ(loads, (std::map<std::size_t, int>{{0, 1}, {1, 1}}));
+
+  // Stats are per lane; the fleet's spawns count toward the first.
+  EXPECT_EQ(first.leases_total, two.plans[0].items.size());
+  EXPECT_EQ(second.leases_total, two.plans[1].items.size());
+  EXPECT_EQ(first.leases_granted, first.leases_total);
+  EXPECT_EQ(second.leases_granted, second.leases_total);
+  EXPECT_EQ(first.workers_spawned, 2u);
+  EXPECT_EQ(second.workers_spawned, 0u);
+}
+
+TEST(Fleet, QueuedLeasesFeedEachWorkerAndComeBackWhenItDies) {
+  TwoPlans two;
+  PlanHoldingTransport t(two.scenarios, two.plans[0]);
+  t.depth = 2;
+  t.die_on_plan = {{1, "toy-hardened"}};  // worker 1 dies in lane 2
+  OrchestratorOptions opts;
+  opts.workers = 2;
+  Fleet fleet(t, opts);
+
+  OrchestratorStats first, second;
+  PlanWorkSource a(two.plans[0]), b(two.plans[1]);
+  std::vector<CampaignResult> results =
+      fleet.drain({{&a, 1, &first}, {&b, 1, &second}});
+  fleet.close();
+
+  EXPECT_EQ(render_json(results[0]), two.single[0]);
+  EXPECT_EQ(render_json(results[1]), two.single[1]);
+  // Workers held a second lease while draining one, never a third.
+  EXPECT_EQ(t.most_held, 2u);
+  // Every lease the dead worker held — in flight or queued — was
+  // released and granted again.
+  EXPECT_EQ(first.workers_preempted, 0u);
+  EXPECT_EQ(second.workers_preempted, 1u);
+  EXPECT_GE(second.leases_released, 1u);
+  EXPECT_EQ(second.leases_granted,
+            second.leases_total + second.leases_released);
+  EXPECT_EQ(first.leases_granted + second.leases_granted,
+            first.leases_total + second.leases_total +
+                second.leases_released);
+}
+
+TEST(Fleet, AnEmptyLaneMergesWithoutLeasing) {
+  TwoPlans two;
+  CampaignOptions none;
+  none.only_sites = {"--none--"};  // discovery only: zero work items
+  InjectionPlan empty = Planner(two.scenarios[1]).plan(none);
+  ASSERT_TRUE(empty.items.empty());
+  PlanHoldingTransport t(two.scenarios, two.plans[0]);
+  OrchestratorOptions opts;
+  opts.workers = 2;
+  Fleet fleet(t, opts);
+
+  OrchestratorStats first, second;
+  PlanWorkSource a(two.plans[0]), b(empty);
+  std::vector<CampaignResult> results =
+      fleet.drain({{&a, 1, &first}, {&b, 1, &second}});
+  fleet.close();
+  EXPECT_EQ(render_json(results[0]), two.single[0]);
+  EXPECT_EQ(results[1].n(), 0);
+  EXPECT_EQ(second.leases_total, 0u);
+  for (const auto& c : t.log) EXPECT_EQ(c.plan, "toy");
 }
 
 }  // namespace

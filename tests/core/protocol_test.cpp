@@ -35,6 +35,8 @@ TEST(Protocol, FormattersRoundTripThroughTheParser) {
       format_steal(),
       format_exit(),
       format_feedback(9, 11, "0:i:close-fails:0,1:d:short-read:7"),
+      format_plan(0),
+      format_plan(11),
   };
   for (const std::string& line : lines) {
     SCOPED_TRACE(line);
@@ -84,6 +86,10 @@ TEST(Protocol, ParsesEveryFieldOfEveryProduction) {
 
   ASSERT_TRUE(parse_protocol_line("EXIT", &m));
   EXPECT_EQ(m.type, Type::exit_cmd);
+
+  ASSERT_TRUE(parse_protocol_line("PLAN 11", &m));
+  EXPECT_EQ(m.type, Type::plan);
+  EXPECT_EQ(m.end, 11u);  // the plan frame's item count rides in `end`
 }
 
 TEST(Protocol, LeaseTargetIsOneToken) {
@@ -121,6 +127,10 @@ TEST(Protocol, RejectsMalformedLines) {
       "FEEDBACK 4 6",      // missing item spec
       "FEEDBACK 4 6 a:i:f:0 b:i:f:0",  // spec is one token
       "FEEDBACK x 6 0:i:f:0",
+      "PLAN",              // missing item count
+      "PLAN x",
+      "PLAN 1 2",          // PLAN is exactly one count
+      "PLAN -1",
       "lease 0 4 t",       // keywords are case-sensitive
       "DONE 0 99999999999999999999",  // overflow is a reject, not UB
   };
@@ -131,11 +141,12 @@ TEST(Protocol, RejectsMalformedLines) {
   }
 }
 
-TEST(Protocol, VersionConstantIsThree) {
+TEST(Protocol, VersionConstantIsFour) {
   // Bumping the protocol version must be a conscious act: this pins the
   // constant the HELLO handshake (and docs/WIRE_FORMAT.md) advertise.
-  // v3 added FEEDBACK (the search plane's item append).
-  EXPECT_EQ(kWorkerProtocolVersion, 3);
+  // v3 added FEEDBACK (the search plane's item append); v4 added PLAN
+  // (the plan switch one fleet uses to drain a whole suite).
+  EXPECT_EQ(kWorkerProtocolVersion, 4);
 }
 
 TEST(FrameBuffer, ReassemblesFramesFromArbitraryDribbles) {

@@ -112,6 +112,18 @@ TEST(ScenarioFamilyTest, EveryGeneratedNameResolvesAndCompiles) {
   }
 }
 
+TEST(ScenarioFamilyTest, EveryPackagedNameResolvesToThatScenario) {
+  // resolve_scenario compiles one scenario from its name table; each
+  // entry must build the scenario all_scenarios() lists under that name.
+  for (const auto& scenario : apps::all_scenarios()) {
+    auto by_name = apps::resolve_scenario(scenario.name);
+    ASSERT_TRUE(by_name.has_value()) << scenario.name;
+    EXPECT_EQ(by_name->name, scenario.name);
+    EXPECT_EQ(by_name->description, scenario.description);
+  }
+  EXPECT_TRUE(apps::resolve_scenario("redzone-demo").has_value());
+}
+
 TEST(ScenarioFamilyTest, GeneratedNamesDoNotShadowPackagedOnes) {
   std::set<std::string> packaged;
   for (const auto& s : apps::all_scenarios()) packaged.insert(s.name);

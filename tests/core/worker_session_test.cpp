@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/campaign_fixtures.hpp"
 #include "core/executor.hpp"
@@ -137,6 +138,43 @@ TEST(WorkerSession, YieldShrinksTheLeaseTheDoneMustMatch) {
   EXPECT_THROW((void)w.event(), OrchestratorError);
 }
 
+TEST(WorkerSession, QueuedLeasesFinishInGrantOrder) {
+  // A lease granted while another is in flight queues behind it: both
+  // LEASE lines go out at once, and each DONE names the oldest lease
+  // still held.
+  Wire w;
+  w.hello();
+  const std::vector<Lease> leases = {{0, 0, 2}, {1, 2, 3}};
+  for (const Lease& l : leases) w.session->grant(l);
+  EXPECT_EQ(w.hear(), "LEASE 0 2 -");
+  EXPECT_EQ(w.hear(), "LEASE 2 3 -");
+  for (const Lease& l : leases) {
+    w.say(format_done(l.begin, l.end));
+    w.say(shard_report_to_binary(toy_report(l.begin, l.end)));
+    std::optional<WorkerEvent> ev = w.event();
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->kind, WorkerEvent::Kind::lease_done);
+    EXPECT_EQ(ev->lease.seq, l.seq);
+    EXPECT_EQ(ev->lease.begin, l.begin);
+    EXPECT_EQ(ev->lease.end, l.end);
+  }
+}
+
+TEST(WorkerSession, ADoneForAQueuedLeaseBeforeTheOldestIsRejected) {
+  const Lease in_flight{0, 0, 2};
+  Wire w;
+  w.hello();
+  w.session->grant(in_flight);
+  w.session->grant({1, 2, 3});
+  w.say(format_done(2, 3));
+  try {
+    (void)w.event();
+    FAIL() << "expected OrchestratorError";
+  } catch (const OrchestratorError& e) {
+    EXPECT_TRUE(contains(e.what(), "matches no lease it holds"));
+  }
+}
+
 TEST(WorkerSession, MissingHelloIsRejected) {
   std::string msg = rejection(format_ping(), /*greet=*/false);
   EXPECT_TRUE(contains(msg, "instead of HELLO")) << msg;
@@ -231,6 +269,54 @@ TEST(WorkerSession, ShutdownClosesASeparateWriteEndOnly) {
   EXPECT_EQ(w.hear(), "EXIT");
   w.say(format_hello(kWorkerProtocolVersion));
   EXPECT_TRUE(w.event().has_value());
+}
+
+
+/// A FramedTransport whose workers are the far ends of socketpairs the
+/// test holds — Transport::load() through the real framed base.
+class PairTransport : public FramedTransport {
+ public:
+  ~PairTransport() override {
+    for (int fd : worker_fds)
+      if (fd >= 0) ::close(fd);
+  }
+  std::vector<int> worker_fds;
+
+  std::optional<std::size_t> spawn() override {
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return std::nullopt;
+    worker_fds.push_back(sv[1]);
+    return adopt(sv[0], sv[0]).id();
+  }
+  void kill(std::size_t worker) override { session(worker, "kill").close(); }
+
+ protected:
+  WorkerEvent reap(std::size_t worker) override {
+    sessions_[worker].close();
+    return exit_event(worker, 0);
+  }
+};
+
+TEST(WorkerSession, LoadSendsPlanThenExactlyTheBinaryPlanFrame) {
+  PairTransport t;
+  const std::size_t w = *t.spawn();
+  const InjectionPlan plan = Planner(toy_scenario()).plan({});
+  ASSERT_GT(plan.items.size(), 0u);
+  t.load(w, plan);
+
+  FrameBuffer fb;
+  std::string frame;
+  ASSERT_TRUE(recv_frame(t.worker_fds[w], &fb, &frame, 2000));
+  EXPECT_EQ(frame, "PLAN " + std::to_string(plan.items.size()));
+  ASSERT_TRUE(recv_frame(t.worker_fds[w], &fb, &frame, 2000));
+  EXPECT_EQ(frame, plan_to_binary(plan));
+  EXPECT_FALSE(fb.mid_frame());  // nothing else went out
+}
+
+TEST(WorkerSession, PlanFromAWorkerIsRejected) {
+  // PLAN is coordinator-to-worker only.
+  EXPECT_TRUE(contains(rejection(format_plan(3)),
+                       "unexpected protocol message 'PLAN 3'"));
 }
 
 }  // namespace

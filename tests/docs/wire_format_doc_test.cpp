@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -201,6 +202,7 @@ TEST(WireFormatDoc, WorkerProtocolTranscriptIsCanonical) {
   ASSERT_FALSE(block.empty());
   std::size_t lines = 0;
   bool saw_hello = false;
+  std::set<ProtocolMsg::Type> seen;
   std::istringstream in(block);
   for (std::string line; std::getline(in, line);) {
     if (line.empty()) continue;
@@ -214,6 +216,7 @@ TEST(WireFormatDoc, WorkerProtocolTranscriptIsCanonical) {
         << "documented transcript line does not parse: " << wire_line;
     EXPECT_EQ(format_protocol_msg(msg), wire_line)
         << "documented transcript line is not canonical formatter output";
+    seen.insert(msg.type);
     bool from_worker = msg.type == ProtocolMsg::Type::hello ||
                        msg.type == ProtocolMsg::Type::ping ||
                        msg.type == ProtocolMsg::Type::yield ||
@@ -234,6 +237,8 @@ TEST(WireFormatDoc, WorkerProtocolTranscriptIsCanonical) {
   }
   EXPECT_TRUE(saw_hello);
   EXPECT_GE(lines, 10u) << "the transcript lost productions";
+  // The transcript promises every production at least once.
+  EXPECT_EQ(seen.size(), 10u) << "the transcript lost a production";
 }
 
 TEST(WireFormatDoc, DocumentsTheCurrentSchemaVersions) {

@@ -1,11 +1,11 @@
-// TcpTransport (net/transport_tcp.hpp): socket plumbing, the accept +
-// HELLO + plan handshake, and BYE-based death classification, driven
-// from a scripted in-test "worker" on the other end of a loopback
-// socket. Everything is single-threaded: the client pre-writes whatever
-// the transport will want next, so no call here ever blocks on the other
-// side of the test. The session itself is tested over a socketpair in
-// tests/core/worker_session_test.cpp; the real worker binary by the CLI
-// tcp pipeline tests.
+// TcpTransport (net/transport_tcp.hpp): socket plumbing, the accept + HELLO +
+// PLAN handshake, plan switches, and BYE-based death classification, driven
+// from a scripted in-test "worker" on the other end of a loopback socket.
+// Everything is single-threaded: the client pre-writes whatever the transport
+// will want next, so no call here ever blocks on the other side of the test.
+// The session itself is tested over a socketpair in
+// tests/core/worker_session_test.cpp; the real worker binary by the CLI tcp
+// pipeline tests.
 #include "net/transport_tcp.hpp"
 
 #include <gtest/gtest.h>
@@ -43,6 +43,17 @@ struct ScriptedWorker {
     EXPECT_TRUE(core::recv_frame(fd, &fb, &payload, 2000));
     return payload;
   }
+  /// The handshake's (or a plan switch's) two frames: `PLAN <items>`,
+  /// then the binary plan, decoded and checked against the count.
+  core::InjectionPlan hear_plan() {
+    const std::string line = hear();
+    core::ProtocolMsg msg;
+    EXPECT_TRUE(core::parse_protocol_line(line, &msg)) << line;
+    EXPECT_EQ(msg.type, core::ProtocolMsg::Type::plan) << line;
+    core::InjectionPlan plan = core::plan_from_binary(hear());
+    EXPECT_EQ(plan.items.size(), msg.end);
+    return plan;
+  }
   void hang_up() {
     ::close(fd);
     fd = -1;
@@ -76,9 +87,9 @@ TEST(TcpTransport, HandshakePlanLeaseAndReportAllCrossTheWire) {
   std::optional<std::size_t> w = transport.spawn();
   ASSERT_TRUE(w.has_value());
 
-  // The plan arrives as one binary EPAB frame, decodable to the same
-  // plan the coordinator holds.
-  core::InjectionPlan shipped = core::plan_from_binary(worker.hear());
+  // The plan arrives as PLAN <items> and one binary EPAB frame,
+  // decodable to the same plan the coordinator holds.
+  core::InjectionPlan shipped = worker.hear_plan();
   ASSERT_EQ(shipped.items.size(), plan.items.size());
 
   // LEASE goes out with `-` as the target: the report returns in-band.
@@ -178,7 +189,7 @@ TEST(TcpTransport, ConnectionDroppedWithoutByeIsPreemption) {
   worker.say(core::format_hello(core::kWorkerProtocolVersion));
   std::optional<std::size_t> w = transport.spawn();
   ASSERT_TRUE(w.has_value());
-  (void)worker.hear();  // take the plan
+  (void)worker.hear_plan();  // take the plan
   transport.submit(*w, {0, 0, 2});
   worker.hang_up();
   std::optional<core::WorkerEvent> ev = transport.wait_any(2000);
@@ -195,7 +206,7 @@ TEST(TcpTransport, ByeWithFailureStatusIsDeathNotPreemption) {
   worker.say(core::format_hello(core::kWorkerProtocolVersion));
   std::optional<std::size_t> w = transport.spawn();
   ASSERT_TRUE(w.has_value());
-  (void)worker.hear();
+  (void)worker.hear_plan();
   worker.say(core::format_bye(9));
   worker.hang_up();
   std::optional<core::WorkerEvent> ev = transport.wait_any(2000);
@@ -212,7 +223,7 @@ TEST(TcpTransport, KillClosesTheSocketSoTheWorkerSeesEof) {
   worker.say(core::format_hello(core::kWorkerProtocolVersion));
   std::optional<std::size_t> w = transport.spawn();
   ASSERT_TRUE(w.has_value());
-  (void)worker.hear();
+  (void)worker.hear_plan();
   transport.kill(*w);
   std::string payload;
   EXPECT_FALSE(core::recv_frame(worker.fd, &worker.fb, &payload, 2000));
@@ -226,7 +237,7 @@ TEST(TcpTransport, RespawnOnlyPollsAndAdoptsAPreStartedSpare) {
   ScriptedWorker first(transport.port());
   first.say(core::format_hello(core::kWorkerProtocolVersion));
   ASSERT_TRUE(transport.spawn().has_value());
-  (void)first.hear();
+  (void)first.hear_plan();
 
   // Past the initial fleet: an empty accept queue is nullopt (after a
   // short poll), not a multi-second stall and not an error.
@@ -237,8 +248,28 @@ TEST(TcpTransport, RespawnOnlyPollsAndAdoptsAPreStartedSpare) {
   spare.say(core::format_hello(core::kWorkerProtocolVersion));
   std::optional<std::size_t> w = transport.spawn();
   ASSERT_TRUE(w.has_value());
-  core::InjectionPlan shipped = core::plan_from_binary(spare.hear());
+  core::InjectionPlan shipped = spare.hear_plan();
   EXPECT_EQ(shipped.items.size(), plan.items.size());
+}
+
+TEST(TcpTransport, LoadSwitchesADialedInWorkerToTheNextPlan) {
+  // The handshake's plan and a later plan switch are the same message on
+  // the same socket.
+  core::Scenario s;
+  core::InjectionPlan plan = planned_toy(&s);
+  TcpTransport transport(loopback_config(1), plan);
+  ScriptedWorker worker(transport.port());
+  worker.say(core::format_hello(core::kWorkerProtocolVersion));
+  std::optional<std::size_t> w = transport.spawn();
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(worker.hear_plan().scenario_name, "toy");
+
+  core::Scenario hardened = core::toy_scenario("toy-hardened", true);
+  core::InjectionPlan next = core::Planner(hardened).plan({});
+  transport.load(*w, next);
+  core::InjectionPlan shipped = worker.hear_plan();
+  EXPECT_EQ(shipped.scenario_name, "toy-hardened");
+  EXPECT_EQ(core::plan_to_binary(shipped), core::plan_to_binary(next));
 }
 
 }  // namespace

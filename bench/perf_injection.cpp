@@ -9,15 +9,10 @@
 // trajectory (and the serial-vs-parallel speedup) is tracked across PRs.
 #include <benchmark/benchmark.h>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -26,16 +21,13 @@
 #include "apps/lpr.hpp"
 #include "apps/scenarios.hpp"
 #include "apps/turnin.hpp"
-#include "core/arena.hpp"
 #include "core/executor.hpp"
 #include "core/injector.hpp"
 #include "core/planner.hpp"
-#include "core/protocol.hpp"
 #include "core/report.hpp"
 #include "core/scheduler.hpp"
 #include "core/search.hpp"
 #include "core/snapshot.hpp"
-#include "core/transport.hpp"
 #include "core/wire.hpp"
 #include "os/world.hpp"
 #include "vulndb/coverage.hpp"
@@ -302,191 +294,6 @@ double sharded_sweep_seconds(int shard_count, int* out_runs,
   return best;
 }
 
-struct OrchestratedStats {
-  int runs = 0;
-  std::size_t wire_bytes = 0;
-  int leases = 0;
-};
-
-enum class DataPlane { json, shm, tcp };
-
-/// One scenario's campaign through the orchestrated shape: `workers`
-/// simulated *persistent* worker processes serving fine-grained dynamic
-/// leases (core/orchestrator.hpp). Each worker pays the per-process tax
-/// exactly once — plan decoded, prototype re-frozen — then drains many
-/// leases, every lease report crossing the wire; the coordinator merges
-/// against the plan it already holds in memory (it planned it), so
-/// there is no merge-side plan re-parse. Three data planes:
-/// DataPlane::json is a codec simulation — plan and lease reports as
-/// JSON strings; no transport ships reports as JSON.
-/// DataPlane::shm and DataPlane::tcp both return each lease report in
-/// the worker-session framing (core/protocol.hpp) over a socketpair: a
-/// DONE control frame plus the binary report frame, reassembled through
-/// FrameBuffer on the receiving side. They differ in how the plan
-/// reaches a worker. shm: one binary plan in the arena (core/arena.hpp),
-/// decoded from each worker's own mapping of the file. tcp: the plan
-/// pushed to each worker as one length-prefixed binary frame.
-double orchestrated_scenario_seconds(const core::Scenario& scenario,
-                                     int workers, int leases_per_worker,
-                                     DataPlane plane,
-                                     const std::string& arena_path,
-                                     OrchestratedStats* acc) {
-  const bool shm = plane == DataPlane::shm;
-  const bool tcp = plane == DataPlane::tcp;
-  auto t0 = std::chrono::steady_clock::now();
-  core::CampaignOptions popts;
-  popts.use_world_cache = false;  // the wire plan carries no snapshot
-  core::InjectionPlan plan = core::Planner(scenario).plan(popts);
-  core::Executor executor(scenario);
-  const std::size_t n = plan.items.size();
-  const std::size_t lease_items = std::max<std::size_t>(
-      1, n / static_cast<std::size_t>(workers * leases_per_worker));
-
-  std::string plan_json;
-  std::optional<core::ShmArena> worker_side;
-  int sp[2] = {-1, -1};  // [0] coordinator end, [1] worker end
-  core::FrameBuffer coord_fb, worker_fb;
-  const bool framed = shm || tcp;
-  if (framed && ::socketpair(AF_UNIX, SOCK_STREAM, 0, sp) != 0) return 0.0;
-  if (shm) {
-    (void)core::ShmArena::create(arena_path, core::plan_to_binary(plan));
-    // The worker side maps the file itself, like a real worker process.
-    worker_side.emplace(core::ShmArena::open(arena_path));
-  } else if (!tcp) {
-    plan_json = plan.to_json();
-  }
-  // One plan decode + one re-freeze per persistent worker, not per
-  // lease.
-  std::string plan_wire = tcp ? core::plan_to_binary(plan) : std::string();
-  std::vector<core::InjectionPlan> worker_plans;
-  for (int w = 0; w < workers; ++w) {
-    if (shm) {
-      worker_plans.push_back(core::plan_from_binary(
-          worker_side->plan_data(), worker_side->plan_size()));
-    } else if (tcp) {
-      // The per-worker plan push: one frame down the socket, reassembled
-      // and decoded on the worker end.
-      core::send_frame(sp[0], plan_wire);
-      std::string payload;
-      core::recv_frame(sp[1], &worker_fb, &payload, 5000);
-      worker_plans.push_back(core::plan_from_binary(payload));
-    } else {
-      worker_plans.push_back(core::plan_from_json(plan_json));
-    }
-    core::refreeze_snapshot(worker_plans.back(), scenario);
-  }
-  std::vector<core::ShardReport> leases;
-  std::size_t lease_seq = 0;
-  for (std::size_t begin = 0; begin < n;
-       begin += lease_items, ++lease_seq) {
-    int w = static_cast<int>(lease_seq) % workers;
-    core::ShardReport report =
-        core::run_lease(executor, worker_plans[w], begin,
-                        std::min(begin + lease_items, n));
-    if (framed) {
-      // Worker end: DONE control frame, then the binary report frame —
-      // every framed plane's per-lease handoff, end to end.
-      std::string frame = core::shard_report_to_binary(report);
-      core::send_frame(
-          sp[1], core::format_done(begin, std::min(begin + lease_items, n)));
-      core::send_frame(sp[1], frame);
-      std::string line, body;
-      core::recv_frame(sp[0], &coord_fb, &line, 5000);
-      core::ProtocolMsg msg;
-      if (!core::parse_protocol_line(line, &msg)) std::abort();
-      core::recv_frame(sp[0], &coord_fb, &body, 5000);
-      acc->wire_bytes += line.size() + body.size();
-      leases.push_back(core::shard_report_from_binary(body));
-    } else {
-      std::string json = report.to_json();
-      acc->wire_bytes += json.size();
-      leases.push_back(core::shard_report_from_json(json));
-    }
-  }
-  acc->leases += static_cast<int>(lease_seq);
-  auto merged = core::merge_shard_reports(plan, leases);
-  acc->runs += merged.n();
-  benchmark::DoNotOptimize(merged);
-  if (framed) {
-    ::close(sp[0]);
-    ::close(sp[1]);
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Both orchestrated data planes plus their in-process baseline (one
-/// plain cached campaign per scenario), interleaved at *scenario*
-/// granularity — baseline, json, shm for one scenario, then the next —
-/// with best-of-reps kept per (scenario, leg) and each leg summed at
-/// the end. The overhead ratios are the tracked numbers; millisecond
-/// legs interleaved this tightly see the same machine conditions, so a
-/// cgroup throttle window or a noisy neighbour hits all three legs
-/// alike instead of landing on whichever ran last (best-of then drops
-/// the stall entirely).
-void measure_orchestrated(int workers, int leases_per_worker,
-                          double* baseline_s, double* json_s,
-                          OrchestratedStats* json_stats, double* shm_s,
-                          OrchestratedStats* shm_stats, double* tcp_s,
-                          OrchestratedStats* tcp_stats) {
-  // The arena lives on tmpfs when the host has one — a disk-backed
-  // arena measures writeback, not the data plane (real deployments put
-  // the orchestrator's --dir on tmpfs for the same reason).
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = ::access("/dev/shm", W_OK) == 0
-                        ? "/dev/shm"
-                        : std::string(tmp && *tmp ? tmp : "/tmp");
-  std::string arena_path =
-      dir + "/epa_bench_" + std::to_string(::getpid()) + ".arena";
-  auto scenarios = apps::all_scenarios();
-  const std::size_t k = scenarios.size();
-  std::vector<double> base_best(k, 1e300);
-  std::vector<double> json_best(k, 1e300);
-  std::vector<double> shm_best(k, 1e300);
-  std::vector<double> tcp_best(k, 1e300);
-  core::CampaignOptions base_opts;
-  base_opts.use_world_cache = true;
-  for (int rep = 0; rep < 3; ++rep) {
-    // Stats are deterministic per pass; re-count each rep rather than
-    // triple-accumulate.
-    *json_stats = OrchestratedStats{};
-    *shm_stats = OrchestratedStats{};
-    *tcp_stats = OrchestratedStats{};
-    for (std::size_t i = 0; i < k; ++i) {
-      core::Campaign campaign(scenarios[i]);  // copy outside the clock
-      auto t0 = std::chrono::steady_clock::now();
-      auto r = campaign.execute(base_opts);
-      auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(r);
-      base_best[i] = std::min(
-          base_best[i], std::chrono::duration<double>(t1 - t0).count());
-      json_best[i] = std::min(
-          json_best[i], orchestrated_scenario_seconds(
-                            scenarios[i], workers, leases_per_worker,
-                            DataPlane::json, "", json_stats));
-      shm_best[i] = std::min(
-          shm_best[i], orchestrated_scenario_seconds(
-                           scenarios[i], workers, leases_per_worker,
-                           DataPlane::shm, arena_path, shm_stats));
-      tcp_best[i] = std::min(
-          tcp_best[i], orchestrated_scenario_seconds(
-                           scenarios[i], workers, leases_per_worker,
-                           DataPlane::tcp, "", tcp_stats));
-    }
-  }
-  *baseline_s = 0;
-  *json_s = 0;
-  *shm_s = 0;
-  *tcp_s = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    *baseline_s += base_best[i];
-    *json_s += json_best[i];
-    *shm_s += shm_best[i];
-    *tcp_s += tcp_best[i];
-  }
-  std::remove(arena_path.c_str());
-}
-
 /// Pure codec throughput, no execution: every scenario's full report
 /// encoded to the binary frame and decoded back. The rate is outcomes
 /// per second through one encode+decode round trip.
@@ -561,28 +368,6 @@ void write_sweep_json(const char* path) {
   double shard_overhead_pct =
       (cached_serial_s > 0 ? sharded_s / cached_serial_s - 1.0 : 0.0) * 100.0;
 
-  // The orchestrated dimension: same process count as the sharded
-  // number, but persistent workers amortize the plan parse + re-freeze
-  // across ~4 leases each, and the coordinator never re-parses the plan.
-  // Measured over the data planes, interleaved: JSON strings (a codec
-  // simulation), the shm arena (a mapped binary plan) and tcp (a plan
-  // frame), both returning binary report frames. binary_wire_bytes /
-  // orchestrated_wire_bytes is the codec's size win; the overhead delta
-  // is the whole data plane's win.
-  constexpr int kOrchLeasesPerWorker = 4;
-  OrchestratedStats orch, shm, tcp;
-  double orch_base_s = 0, orch_s = 0, shm_s = 0, tcp_s = 0;
-  measure_orchestrated(kShards, kOrchLeasesPerWorker, &orch_base_s,
-                       &orch_s, &orch, &shm_s, &shm, &tcp_s, &tcp);
-  double orch_rps = orch.runs / orch_s;
-  double orch_overhead_pct =
-      (orch_base_s > 0 ? orch_s / orch_base_s - 1.0 : 0.0) * 100.0;
-  double shm_rps = shm.runs / shm_s;
-  double shm_overhead_pct =
-      (orch_base_s > 0 ? shm_s / orch_base_s - 1.0 : 0.0) * 100.0;
-  double tcp_rps = tcp.runs / tcp_s;
-  double tcp_overhead_pct =
-      (orch_base_s > 0 ? tcp_s / orch_base_s - 1.0 : 0.0) * 100.0;
   double codec_rps = codec_encode_decode_rps();
 
   // The declarative layer at scale: every packaged family expanded
@@ -698,17 +483,6 @@ void write_sweep_json(const char* path) {
                "  \"sharded_serial_runs_per_sec\": %.1f,\n"
                "  \"shard_wire_overhead_pct\": %.1f,\n"
                "  \"shard_wire_bytes\": %zu,\n"
-               "  \"orchestrated_workers\": %d,\n"
-               "  \"orchestrated_leases\": %d,\n"
-               "  \"orchestrated_serial_runs_per_sec\": %.1f,\n"
-               "  \"orchestrated_overhead_pct\": %.1f,\n"
-               "  \"orchestrated_wire_bytes\": %zu,\n"
-               "  \"shm_orchestrated_serial_runs_per_sec\": %.1f,\n"
-               "  \"shm_orchestrated_overhead_pct\": %.1f,\n"
-               "  \"binary_wire_bytes\": %zu,\n"
-               "  \"tcp_orchestrated_serial_runs_per_sec\": %.1f,\n"
-               "  \"tcp_orchestrated_overhead_pct\": %.1f,\n"
-               "  \"tcp_wire_bytes\": %zu,\n"
                "  \"codec_encode_decode_runs_per_sec\": %.1f,\n"
                "  \"family_generated_count\": %zu,\n"
                "  \"family_generated_serial_runs_per_sec\": %.1f,\n"
@@ -727,10 +501,8 @@ void write_sweep_json(const char* path) {
                heavy_uncached_rps, heavy_cached_rps,
                heavy_cached_rps / heavy_uncached_rps, heavy_pool_off_rps,
                heavy_cached_rps / heavy_pool_off_rps, kShards, sharded_rps,
-               shard_overhead_pct, shard_wire_bytes, kShards, orch.leases,
-               orch_rps, orch_overhead_pct, orch.wire_bytes, shm_rps,
-               shm_overhead_pct, shm.wire_bytes, tcp_rps, tcp_overhead_pct,
-               tcp.wire_bytes, codec_rps, family_count, family_rps,
+               shard_overhead_pct, shard_wire_bytes, codec_rps, family_count,
+               family_rps,
                vuln_coverage_pct, relay->name.c_str(), exhaustive_items,
                search_budget, search_budget_pct, search_coverage_ratio);
   std::fclose(f);
@@ -745,13 +517,6 @@ void write_sweep_json(const char* path) {
       "drain)\n"
       "  sharded %dx serial : %8.1f runs/sec  (wire+merge overhead "
       "%+.1f%% vs cached serial; %zu report bytes)\n"
-      "  orchestrated %dx%-2d : %8.1f runs/sec  (overhead %+.1f%% vs "
-      "cached serial; %d leases, %zu report bytes; persistent workers "
-      "parse+refreeze once)\n"
-      "  shm orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
-      "serial; %d leases, %zu framed bytes; plan from the arena)\n"
-      "  tcp orchestrated  : %8.1f runs/sec  (overhead %+.1f%% vs cached "
-      "serial; %d leases, %zu framed bytes through the socketpair)\n"
       "  binary codec      : %8.1f outcomes/sec through encode+decode\n"
       "  family generated  : %8.1f runs/sec over %zu spec-compiled "
       "scenarios (%d runs; %.1f%% of the 20 EAI classes fired)\n"
@@ -764,10 +529,7 @@ void write_sweep_json(const char* path) {
       heavy_uncached_rps, heavy_cached_rps,
       heavy_cached_rps / heavy_uncached_rps, heavy_pool_off_rps,
       heavy_cached_rps / heavy_pool_off_rps, kShards, sharded_rps,
-      shard_overhead_pct, shard_wire_bytes, kShards, kOrchLeasesPerWorker,
-      orch_rps, orch_overhead_pct, orch.leases, orch.wire_bytes, shm_rps,
-      shm_overhead_pct, shm.leases, shm.wire_bytes, tcp_rps,
-      tcp_overhead_pct, tcp.leases, tcp.wire_bytes, codec_rps, family_rps,
+      shard_overhead_pct, shard_wire_bytes, codec_rps, family_rps,
       family_count, family_runs, vuln_coverage_pct, relay->name.c_str(),
       search_budget, exhaustive_items, search_budget_pct,
       100.0 * search_coverage_ratio);

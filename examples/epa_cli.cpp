@@ -64,7 +64,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -77,7 +76,6 @@
 #include "apps/redzone_demo.hpp"
 #include "apps/scenarios.hpp"
 #include "apps/spec_env.hpp"
-#include "core/arena.hpp"
 #include "core/catalog.hpp"
 #include "core/compare.hpp"
 #include "core/equivalence.hpp"
@@ -131,24 +129,27 @@ int usage() {
       "                [--workers N] [--lease auto|K]\n"
       "                [--data-plane pipe|shm|tcp] [--deadman-ms MS]\n"
       "                [--jobs N] [--preempt-after N] [--checkpoint K]\n"
-      "                [--drain-delay-ms MS] [--dir DIR]\n"
+      "                [--drain-delay-ms MS]\n"
       "                [--listen PORT] [--port-file FILE]   (tcp)\n"
       "                [--json] [--no-world-cache] [--no-redzone]\n"
-      "  epa_cli orchestrate --all [same flags; pipe/shm only]\n"
+      "                (--data-plane shm is a synonym of pipe)\n"
+      "  epa_cli orchestrate --all [same flags]\n"
       "  epa_cli search <scenario>|--family F|--scenario-file FILE\n"
       "                --budget N [--seed S] [--batch K] [--jobs N]\n"
       "                [--workers N] [--lease auto|K]\n"
       "                [--data-plane pipe|shm|tcp] [--listen PORT]\n"
-      "                [--port-file FILE] [--dir DIR] [--state FILE]\n"
+      "                [--port-file FILE] [--state FILE]\n"
       "                [--resume] [--stop-after W] [--json]\n"
       "                [--no-world-cache] [--no-redzone]\n"
       "                (coverage-guided novelty search; docs/SEARCH.md)\n"
-      "  epa_cli worker <plan-file>|--arena FILE|--connect HOST:PORT\n"
+      "  epa_cli worker [<plan-file>|--connect HOST:PORT]\n"
       "                [--jobs N] [--no-world-cache] [--no-redzone]\n"
       "                [--preempt-after N] [--scenario-file FILE]\n"
       "                [--checkpoint K] [--drain-delay-ms MS]\n"
-      "                (worker protocol v3, framed on stdin/stdout or\n"
-      "                over tcp with --connect; spawned by orchestrate)\n"
+      "                (worker protocol v4, framed on stdin/stdout or\n"
+      "                over tcp with --connect; the first plan arrives as\n"
+      "                a PLAN frame unless a plan file is given;\n"
+      "                spawned by orchestrate)\n"
       "  epa_cli compare <before-scenario> <after-scenario>\n"
       "  epa_cli db [indirect|direct|other|excluded]\n");
   return 2;
@@ -220,7 +221,7 @@ enum class Grammar {
   u64,        // an unsigned 64-bit integer
   unit,       // a real in [0, 1]
   lease,      // `auto` or an integer in [1, 2^30]
-  plane,      // pipe | shm | tcp
+  plane,      // pipe | shm (a synonym of pipe) | tcp
   host_port,  // HOST:PORT, the port in [1, 65535]
   text,
 };
@@ -231,7 +232,6 @@ enum class Side {
   worker,  // forked workers receive it; on tcp it belongs to the
            // operator's `epa_cli worker --connect` command line instead
   both,    // forked workers receive it and the coordinator needs it too
-  fleet,   // names the local fleet's files; meaningless on tcp
 };
 
 struct Flag {
@@ -268,7 +268,6 @@ const Flag kLease{"--lease", Grammar::lease};
 const Flag kDataPlane{"--data-plane", Grammar::plane};
 const Flag kListen{"--listen", Grammar::integer, 0, 65535};
 const Flag kPortFile{"--port-file", Grammar::text};
-const Flag kDir{"--dir", Grammar::text, 0, 0, Side::fleet};
 
 /// A cross-flag rule. Its names are flags, the command's operand name
 /// (e.g. "<scenario>"), or "--data-plane=tcp" (given with that value).
@@ -278,8 +277,8 @@ struct Rule {
                   // no `flags`, the command always does
     excludes,     // each given `flags` entry excludes all of `others`
     one_of,       // exactly one of `flags`; none is a usage error
-    worker_side,  // once any of `others` is given, every worker- or
-                  // fleet-side flag is an error
+    worker_side,  // once any of `others` is given, every worker-side
+                  // flag is an error
   } kind;
   std::vector<const char*> flags, others;
   /// The diagnostic; `%s` names the offending flag. Null: usage, exit 2.
@@ -1075,16 +1074,19 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
                  held.plan.snapshot ? "frozen" : "uncached");
   };
 
-  // Later plans always arrive as PLAN frames; a tcp worker's first does
-  // too, as the handshake's answer to HELLO.
+  // Every plan arrives as a PLAN frame, the first one too — the
+  // coordinator sends it right behind our HELLO — unless the worker is
+  // driven by hand with a plan file.
   const std::string frame_src =
-      a.has("--connect") ? a.text("--connect") : "PLAN frame";
+      a.has("--connect") ? a.text("--connect") : "stdin";
   std::string cmd;
   core::ProtocolMsg msg;
-  if (a.has("--connect")) {
+  if (a.has("<plan-file>")) {
+    install(load_plan(a.operands[0]), a.operands[0]);
+  } else {
     if (!chan.recv(&cmd))
       throw std::runtime_error(
-          frame_src + ": coordinator closed the connection before sending "
+          frame_src + ": coordinator closed the session before sending "
                       "a plan (handshake rejected?)");
     if (!core::parse_protocol_line(cmd, &msg) ||
         msg.type != core::ProtocolMsg::Type::plan)
@@ -1092,18 +1094,6 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
                                ": expected PLAN after HELLO, got '" + cmd +
                                "'");
     install(recv_plan(chan, msg, frame_src), frame_src);
-  } else if (a.has("--arena")) {
-    const std::string src = a.text("--arena");
-    const core::ShmArena arena = core::ShmArena::open(src);
-    core::InjectionPlan plan;
-    try {
-      plan = core::plan_from_binary(arena.plan_data(), arena.plan_size());
-    } catch (const core::WireError& e) {
-      throw std::runtime_error(src + ": " + e.what());
-    }
-    install(std::move(plan), src);
-  } else {
-    install(load_plan(a.operands[0]), a.operands[0]);
   }
   std::signal(SIGTERM, on_sigterm);
 
@@ -1260,7 +1250,7 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
 /// re-freeze the COW prototype once per plan, then serve LEASE commands
 /// until EXIT/EOF; a PLAN message swaps in the next plan of a suite.
 /// Every data plane is one framed session (core/protocol.hpp) —
-/// stdin/stdout for a plan file or --arena, the socket for --connect. The
+/// stdin/stdout for a forked worker, the socket for --connect. The
 /// first frame out is always `HELLO <version>` (a coordinator speaking a
 /// different protocol rejects the worker before any lease is granted) and
 /// the last is `BYE <status>`. Everything human-facing goes to stderr.
@@ -1276,13 +1266,10 @@ int serve_leases(const Args& a, FrameChannel& chan, long long* done) {
 /// re-leases the tail to an idle worker.
 ///
 /// Every lease is `LEASE <begin> <end> -`, and each DONE is followed by
-/// the lease's binary report frame. Every plan after the first arrives
-/// as `PLAN <items>` and a binary plan frame. Only where the first plan
-/// comes from differs:
-///   plan file  parsed from the file (JSON or binary).
-///   --arena    decoded from the arena's mapping (core/arena.hpp).
-///   --connect  HELLO up, PLAN and the binary plan down, then the same
-///              exchange over the socket.
+/// the lease's binary report frame. Every plan arrives as `PLAN <items>`
+/// and a binary plan frame, the first one included, on every plane. A
+/// worker given a plan file (the hand-driven entry, which no coordinator
+/// spawns) parses that file instead, then reads its session as usual.
 int cmd_worker(const Args& a) {
   const bool use_tcp = a.has("--connect");
   const std::string target = a.text("--connect");
@@ -1312,54 +1299,6 @@ int cmd_worker(const Args& a) {
 }
 
 // --- worker fleets (orchestrate, search --workers) --------------------------
-
-enum class DataPlane { pipe, shm, tcp };
-
-DataPlane data_plane(const Args& a) {
-  const std::string v = a.text("--data-plane", "pipe");
-  if (v == "shm") return DataPlane::shm;
-  return v == "tcp" ? DataPlane::tcp : DataPlane::pipe;
-}
-
-/// Where a local fleet's plan and arena files go: --dir (created if
-/// missing, and left as it is), or a fresh $TMPDIR/epa-<command>.XXXXXX
-/// that is removed with everything in it when the fleet is done —
-/// success or error. Nothing at all unless `needed` (the tcp plane and
-/// in-process search write no files).
-class FleetDir {
- public:
-  FleetDir(const Args& a, bool needed) {
-    if (!needed) return;
-    path_ = a.text("--dir");
-    if (path_.empty()) {
-      const char* tmp = std::getenv("TMPDIR");
-      std::string tmpl = std::string(tmp && *tmp ? tmp : "/tmp") + "/epa-" +
-                         a.cmd->name + ".XXXXXX";
-      if (!::mkdtemp(tmpl.data()))
-        throw std::runtime_error(std::string("cannot create temp dir: ") +
-                                 std::strerror(errno));
-      path_ = tmpl;
-      owned_ = true;
-    } else if (::mkdir(path_.c_str(), 0777) != 0 && errno != EEXIST) {
-      throw std::runtime_error("cannot create '" + path_ +
-                               "': " + std::strerror(errno));
-    }
-  }
-  ~FleetDir() {
-    std::error_code ec;  // best effort: never throw out of a destructor
-    if (owned_) std::filesystem::remove_all(path_, ec);
-  }
-  FleetDir(const FleetDir&) = delete;
-  FleetDir& operator=(const FleetDir&) = delete;
-
-  const std::string& path() const { return path_; }
-  /// True when the files stay behind for the user (--dir).
-  bool kept() const { return !owned_ && !path_.empty(); }
-
- private:
-  std::string path_;
-  bool owned_ = false;
-};
 
 /// Plan `scenario` in-process, timing it. Planning runs the scenario
 /// once (the trace run), so the wall time is a live sample of roughly
@@ -1417,15 +1356,13 @@ core::OrchestratorOptions fleet_options(const Args& a,
   return o;
 }
 
-/// The transport for one fleet draining `plan`. tcp listens for
-/// `workers` dial-ins; pipe and shm fork workers that receive the
-/// command line's worker flags, with the plan written to `dir` as JSON
-/// (pipe) or frozen into a binary arena there (shm).
+/// The transport for one fleet whose workers start out holding `plan`.
+/// tcp listens for `workers` dial-ins; pipe (and its synonym shm) forks
+/// workers that receive the command line's worker flags. Either way each
+/// worker's first frames are the plan.
 std::unique_ptr<core::Transport> make_transport(
-    const Args& a, int workers, const std::string& dir,
-    const core::InjectionPlan& plan) {
-  const DataPlane plane = data_plane(a);
-  if (plane == DataPlane::tcp) {
+    const Args& a, int workers, const core::InjectionPlan& plan) {
+  if (a.has("--data-plane=tcp")) {
     net::TcpTransportConfig tcfg;
     tcfg.listen_port = static_cast<int>(a.num("--listen", 0));
     tcfg.port_file = a.text("--port-file");
@@ -1439,14 +1376,8 @@ std::unique_ptr<core::Transport> make_transport(
   }
   core::LocalProcessConfig cfg;
   cfg.epa_cli = core::LocalProcessTransport::self_exe(a.argv0);
-  cfg.out_dir = dir;
-  cfg.file_prefix = plan.scenario_name;
   cfg.worker_flags = a.worker_flags;
-  if (plane == DataPlane::shm)
-    return std::make_unique<core::ShmLocalTransport>(cfg, plan);
-  cfg.plan_path = dir + "/" + plan.scenario_name + ".plan.json";
-  write_file(cfg.plan_path, plan.to_json());
-  return std::make_unique<core::LocalProcessTransport>(cfg);
+  return std::make_unique<core::LocalProcessTransport>(cfg, plan);
 }
 
 void report_fleet(const Args& a, const std::string& scenario,
@@ -1482,15 +1413,13 @@ void report_coverage(const Args& a, const core::SweepResult& sweep,
 int cmd_orchestrate(const Args& a) {
   std::vector<core::Scenario> scenarios = select_scenarios(a);
   if (scenarios.empty()) return 1;
-  const DataPlane plane = data_plane(a);
-  const FleetDir dir(a, plane != DataPlane::tcp);
 
   // The coordinator plans every scenario in-process up front, fanned
   // over one thread per worker, and keeps the plans in memory for the
   // merge; only workers pay a plan parse (once per plan).
   const std::size_t n = scenarios.size();
   core::CampaignOptions popts;
-  popts.use_world_cache = false;  // the plan file carries no snapshot
+  popts.use_world_cache = false;  // the plan frame carries no snapshot
   popts.use_redzone = !a.has("--no-redzone");
   std::vector<core::InjectionPlan> plans(n);
   std::vector<double> plan_ms(n);
@@ -1516,7 +1445,7 @@ int cmd_orchestrate(const Args& a) {
     lanes.push_back({&sources[i], oopts[i].lease_items, &stats[i]});
   }
   std::unique_ptr<core::Transport> transport =
-      make_transport(a, oopts.front().workers, dir.path(), plans.front());
+      make_transport(a, oopts.front().workers, plans.front());
   core::Fleet fleet(*transport, oopts.front());
   core::SweepResult sweep;
   sweep.results = fleet.drain(lanes);
@@ -1524,10 +1453,6 @@ int cmd_orchestrate(const Args& a) {
   fleet.close(&stats.back());
   for (std::size_t i = 0; i < n; ++i)
     report_fleet(a, scenarios[i].name, oopts[i], stats[i]);
-  if (dir.kept())
-    std::fprintf(stderr, "epa orchestrate: %s files in %s\n",
-                 plane == DataPlane::shm ? "arena" : "plan",
-                 dir.path().c_str());
   report_coverage(a, sweep, "");
   if (a.has("--all")) return print_sweep(sweep, a.has("--json"));
   return print_result(sweep.results.front(), a.has("--json"));
@@ -1548,7 +1473,6 @@ int cmd_search(const Args& a) {
   std::vector<core::Scenario> scenarios = select_scenarios(a);
   if (scenarios.empty()) return 1;
   const bool orchestrated = a.has("--workers");
-  const FleetDir dir(a, orchestrated && data_plane(a) != DataPlane::tcp);
   const std::string state_path = a.text("--state");
   const std::size_t budget = static_cast<std::size_t>(a.num("--budget", 0));
 
@@ -1619,7 +1543,7 @@ int cmd_search(const Args& a) {
       // One fleet for every member, built around the first member's
       // plan; later members reach the workers as PLAN messages.
       if (!fleet) {
-        transport = make_transport(a, oopts.workers, dir.path(), source.plan());
+        transport = make_transport(a, oopts.workers, source.plan());
         fleet.emplace(*transport, oopts);
       }
       core::OrchestratorStats stats;
@@ -1715,20 +1639,20 @@ const std::vector<Command> kCommands = {
        "--preempt-after needs --checkpoint (preemption is delivered at a "
        "checkpoint flush)"}}},
     {"merge", cmd_merge, "<file>", 2, SIZE_MAX, {kJson}, {}},
-    // Exactly one data plane: a plan file (pipe), --arena (shm), or
-    // --connect (tcp).
+    // The session is stdin/stdout, or a socket with --connect. A plan
+    // file is for driving a worker by hand; a coordinator sends the plan.
     {"worker", cmd_worker, "<plan-file>", 0, 1,
-     {{"--arena", Grammar::text}, {"--connect", Grammar::host_port},
-      kScenarioFile, kJobs, kCheckpoint, kPreemptAfter, kDrainDelay,
-      kNoWorldCache, kNoRedzone},
-     {{Rule::one_of, {"<plan-file>", "--arena", "--connect"}, {},
-       "worker takes exactly one of a plan file, --arena, or --connect"},
+     {{"--connect", Grammar::host_port}, kScenarioFile, kJobs, kCheckpoint,
+      kPreemptAfter, kDrainDelay, kNoWorldCache, kNoRedzone},
+     {{Rule::excludes, {"<plan-file>"}, {"--connect"},
+       "a worker given a plan file takes no --connect (a tcp coordinator "
+       "sends the plan)"},
       kDrainNeedsCheckpoint}},
     {"orchestrate", cmd_orchestrate, "<scenario>", 0, 1,
      {kAll, kScenarioFile, kWorkers, kLease, kDataPlane,
       {"--deadman-ms", Grammar::integer, 1, kMaxCount}, kListen, kPortFile,
       kJson, kJobs, kPreemptAfter, kCheckpoint, kDrainDelay, kNoWorldCache,
-      kNoRedzone, kDir},
+      kNoRedzone},
      {{Rule::one_of, {"--all", "<scenario>", "--scenario-file"}, {}},
       kTcpWorkerSide, kTcpOnly,
       {Rule::needs, {"--deadman-ms"}, {"--checkpoint", "--data-plane=tcp"},
@@ -1741,7 +1665,7 @@ const std::vector<Command> kCommands = {
       {"--state", Grammar::text}, {"--resume"},
       {"--stop-after", Grammar::integer, 1, kMaxCount}, kWorkers, kLease,
       kDataPlane, kListen, kPortFile, kJson, kJobs, kNoWorldCache,
-      kNoRedzone, kDir},
+      kNoRedzone},
      {{Rule::one_of, {"<scenario>", "--scenario-file", "--family"}, {}},
       {Rule::needs, {}, {"--budget"},
        "search needs --budget N (the total number of injection runs to "
@@ -1760,7 +1684,7 @@ const std::vector<Command> kCommands = {
       {Rule::needs, {"--data-plane=tcp"}, {"--workers"},
        "--data-plane tcp needs --workers N"},
       kTcpWorkerSide, kTcpOnly,
-      {Rule::needs, {"--lease", "--data-plane", "--dir"}, {"--workers"},
+      {Rule::needs, {"--lease", "--data-plane"}, {"--workers"},
        "%s needs --workers N"}}},
 };
 
@@ -1814,7 +1738,7 @@ void check_rule(const Args& a, const Rule& r) {
     case Rule::worker_side:
       if (!any_other) return;
       for (const Flag& f : a.cmd->flags)
-        if ((f.side == Side::worker || f.side == Side::fleet) &&
+        if (f.side == Side::worker &&
             a.has(f.name)) {
           std::fprintf(stderr,
                        "epa: %s is worker-side; pass it to `epa_cli worker "

@@ -7,20 +7,19 @@
 #
 #   -n SHARDS       worker process count (default 4)
 #   -b EPA_CLI      path to the epa_cli binary (default ./build/epa_cli)
-#   -o OUTDIR       where plan/shard files go (default: a fresh temp dir)
+#   -o OUTDIR       where plan/shard files go (default: a fresh temp dir;
+#                   -O and -D pipe/shm write none)
 #   -j              print the merged report as JSON
 #   -O              drive the campaign through `epa_cli orchestrate`
 #                   (dynamic leases, persistent workers, automatic
 #                   re-lease of preempted work) instead of the static
 #                   K/N run-shard fan-out
-#   -D PLANE        orchestrate data plane: pipe, shm, or tcp (implies
-#                   -O). tcp runs the coordinator with --listen 0 and
-#                   dials the workers into the published port over
-#                   localhost — the remote fan-out, end to end, on one
-#                   machine
-#   -B              alias of -D shm, kept from before the data planes
-#                   were an enum: workers map one binary plan arena
-#                   instead of each parsing a JSON plan file
+#   -D PLANE        orchestrate data plane: pipe, shm (a synonym of
+#                   pipe), or tcp (implies -O). tcp runs the coordinator
+#                   with --listen 0 and dials the workers into the
+#                   published port over localhost — the remote fan-out,
+#                   end to end, on one machine
+#   -B              alias of -D shm
 #   -c CHECKPOINT   flush a resumable partial report every K outcomes; a
 #                   worker that exits 4 (preempted, e.g. SIGTERM) is
 #                   automatically completed with run-shard --resume
@@ -47,7 +46,7 @@ checkpoint=
 preempt=
 
 usage() {
-  sed -n '2,25p' "$0" >&2
+  sed -n '2,31p' "$0" >&2
   exit 2
 }
 
@@ -88,6 +87,26 @@ if [ -n "$preempt" ] && [ -z "$checkpoint" ] && [ -z "$orchestrate" ]; then
   exit 2
 fi
 [ -x "$epa_cli" ] || { echo "shard_local: no epa_cli at '$epa_cli' (build first, or pass -b)" >&2; exit 2; }
+
+# -O/-B: hand the whole pipeline to the orchestrator — dynamic id-range
+# leases over persistent workers, preempted leases re-leased
+# automatically. -n is the worker count. Every worker gets the plan as
+# the first frames of its session and returns lease reports over it, so
+# this writes no files at all.
+if [ -n "$orchestrate" ] && [ "$data_plane" != tcp ]; then
+  orch_flags=()
+  [ -n "$data_plane" ] && orch_flags+=(--data-plane "$data_plane")
+  [ -n "$checkpoint" ] && orch_flags+=(--checkpoint "$checkpoint")
+  [ -n "$preempt" ] && orch_flags+=(--preempt-after "$preempt")
+  [ -n "$json_flag" ] && orch_flags+=("$json_flag")
+  rc=0
+  "$epa_cli" orchestrate "$scenario" --workers "$shards" \
+    "${orch_flags[@]}" || rc=$?
+  # 3 = candidate vulnerabilities: a finding, not a pipeline failure.
+  [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ] || exit "$rc"
+  exit "$rc"
+fi
+
 if [ -z "$outdir" ]; then
   outdir=$(mktemp -d "${TMPDIR:-/tmp}/epa-shard.XXXXXX")
 else
@@ -99,7 +118,7 @@ fi
 # first-worker failure left the rest writing into $outdir after the
 # script had already reported failure. Reaped pids are cleared from the
 # array so the trap never signals a recycled pid. A failed run must also
-# not strand the mmap'd plan arena (-B): unlike shard JSON it is per-run
+# not strand the tcp port file (-D tcp): unlike shard JSON it is per-run
 # scratch, not a resumable artifact, so unlink it on any exit that is not
 # a campaign result (0 clean, 3 findings).
 pids=()
@@ -112,7 +131,7 @@ cleanup() {
     [ -n "$pid" ] && wait "$pid" 2>/dev/null || true
   done
   if [ "$rc" -ne 0 ] && [ "$rc" -ne 3 ]; then
-    rm -f "$outdir"/*.arena "$outdir"/*.port
+    rm -f "$outdir"/*.port
   fi
 }
 trap cleanup EXIT
@@ -157,31 +176,6 @@ if [ "$data_plane" = tcp ]; then
   # 3 = candidate vulnerabilities: a finding, not a pipeline failure.
   [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ] || exit "$rc"
   echo "tcp coordinator port file in $outdir" >&2
-  exit "$rc"
-fi
-
-# -O/-B: hand the whole pipeline to the orchestrator — dynamic id-range
-# leases over persistent workers, preempted leases re-leased
-# automatically. -n is the worker count; the plan file (or the shm plan
-# arena, with -B) lands in OUTDIR like the shard files below would. Lease
-# reports return to the coordinator over the worker's framed session on
-# every plane and are never written as files.
-if [ -n "$orchestrate" ]; then
-  orch_flags=()
-  [ -n "$data_plane" ] && orch_flags+=(--data-plane "$data_plane")
-  [ -n "$checkpoint" ] && orch_flags+=(--checkpoint "$checkpoint")
-  [ -n "$preempt" ] && orch_flags+=(--preempt-after "$preempt")
-  [ -n "$json_flag" ] && orch_flags+=("$json_flag")
-  rc=0
-  "$epa_cli" orchestrate "$scenario" --workers "$shards" --dir "$outdir" \
-    "${orch_flags[@]}" || rc=$?
-  # 3 = candidate vulnerabilities: a finding, not a pipeline failure.
-  [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ] || exit "$rc"
-  if [ "$data_plane" = shm ]; then
-    echo "plan arena in $outdir" >&2
-  else
-    echo "plan file in $outdir" >&2
-  fi
   exit "$rc"
 fi
 

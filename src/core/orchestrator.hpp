@@ -40,11 +40,11 @@
 // byte-identical to a single-process run no matter how leases were
 // scheduled, split, or re-leased.
 //
-// Transports: LocalProcessTransport (forked workers over pipes),
-// ShmLocalTransport (the same, the plan shared through an mmap'd arena),
-// TcpTransport (net/transport_tcp.hpp, remote workers over sockets). All
-// three run one framed worker session per worker (core/transport.hpp)
-// speaking the versioned protocol of core/protocol.hpp.
+// Transports: LocalProcessTransport (forked workers over pipes) and
+// TcpTransport (net/transport_tcp.hpp, remote workers over sockets). Both
+// run one framed worker session per worker (core/transport.hpp) speaking
+// the versioned protocol of core/protocol.hpp, and both hand a worker its
+// first plan as its session's first frames.
 #pragma once
 
 #include <cstddef>
@@ -243,7 +243,8 @@ struct OrchestratorStats {
 /// reaches a worker holding another plan.
 ///
 /// Precondition: every worker the transport spawns (at any time, in any
-/// drain) starts out holding the transport's construction plan, and that
+/// drain) starts out holding the transport's construction plan (a
+/// FramedTransport ships it as every session's first frames), and that
 /// plan is the first drain's (the first lane's) `source.plan()` as it
 /// stands when that drain starts. A replacement spawned mid-suite is
 /// therefore loaded before its first grant like any other worker behind

@@ -59,10 +59,9 @@
 // fast instead of wedging mid-campaign.
 //
 // Earlier version-3 builds also had an shm-only four-field DONE (the
-// report left in an arena segment) and an `@`-prefixed LEASE target
-// naming that segment. Both are gone without a version bump, so pipe and
-// tcp frames are unchanged; a mixed-build shm fleet fails on the arena
-// version (core/arena.hpp) instead.
+// report left in a segment of a shared-memory plan file) and an
+// `@`-prefixed LEASE target naming that segment. Both are gone, and so is
+// that file: every worker's first plan is a PLAN frame.
 #pragma once
 
 #include <cstddef>

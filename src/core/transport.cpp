@@ -34,6 +34,19 @@ bool signal_is_preemption(int signo) {
          signo == SIGHUP;
 }
 
+/// The one-argument LocalProcessTransport's plan: JSON or binary, sniffed.
+InjectionPlan read_plan_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) sys_fail("cannot read '" + path + "'");
+  std::string text;
+  char buf[1 << 16];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+    text.append(buf, n);
+  std::fclose(f);
+  return looks_like_binary_wire(text) ? plan_from_binary(text)
+                                      : plan_from_json(text);
+}
+
 int wait_for(pid_t pid) {
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
@@ -194,8 +207,18 @@ std::optional<WorkerEvent> WorkerSession::on_frame(const std::string& frame) {
 
 // --- FramedTransport --------------------------------------------------------
 
+FramedTransport::FramedTransport(const InjectionPlan& plan)
+    : plan_items_(plan.items.size()), plan_wire_(plan_to_binary(plan)) {
+  // A worker can die between our poll() and our write(); without this
+  // the resulting EPIPE would kill the coordinator instead of surfacing
+  // as an ordinary worker-death event.
+  std::signal(SIGPIPE, SIG_IGN);
+}
+
 WorkerSession& FramedTransport::adopt(int in_fd, int out_fd) {
-  return sessions_.emplace_back(sessions_.size(), in_fd, out_fd);
+  WorkerSession& s = sessions_.emplace_back(sessions_.size(), in_fd, out_fd);
+  (void)s.load(plan_items_, plan_wire_);
+  return s;
 }
 
 WorkerSession& FramedTransport::session(std::size_t worker, const char* op) {
@@ -263,13 +286,12 @@ std::optional<WorkerEvent> FramedTransport::wait_any(long timeout_ms) {
 
 // --- LocalProcessTransport --------------------------------------------------
 
+LocalProcessTransport::LocalProcessTransport(LocalProcessConfig config,
+                                             const InjectionPlan& plan)
+    : FramedTransport(plan), config_(std::move(config)) {}
+
 LocalProcessTransport::LocalProcessTransport(LocalProcessConfig config)
-    : config_(std::move(config)) {
-  // A worker can die between our poll() and our write(); without this
-  // the resulting EPIPE would kill the coordinator instead of surfacing
-  // as an ordinary worker-death event.
-  std::signal(SIGPIPE, SIG_IGN);
-}
+    : LocalProcessTransport(config, read_plan_file(config.plan_path)) {}
 
 LocalProcessTransport::~LocalProcessTransport() {
   for (WorkerSession& s : sessions_) {
@@ -290,13 +312,6 @@ std::string LocalProcessTransport::self_exe(const char* argv0) {
   return argv0 ? argv0 : "epa_cli";
 }
 
-std::vector<std::string> LocalProcessTransport::worker_args() const {
-  std::vector<std::string> args = {"worker", config_.plan_path};
-  args.insert(args.end(), config_.worker_flags.begin(),
-              config_.worker_flags.end());
-  return args;
-}
-
 std::optional<std::size_t> LocalProcessTransport::spawn() {
   int to_child[2];   // coordinator writes, worker reads (stdin)
   int from_child[2]; // worker writes (stdout), coordinator reads
@@ -312,9 +327,11 @@ std::optional<std::size_t> LocalProcessTransport::spawn() {
   set_cloexec(to_child[1]);
   set_cloexec(from_child[0]);
 
-  // Built before fork: the data plane decides the argv tail.
-  std::vector<std::string> args = {config_.epa_cli};
-  for (std::string& a : worker_args()) args.push_back(std::move(a));
+  // Built before fork: `worker`, then the worker flags verbatim. No plan
+  // operand — the plan is the session's first frames.
+  std::vector<std::string> args = {config_.epa_cli, "worker"};
+  args.insert(args.end(), config_.worker_flags.begin(),
+              config_.worker_flags.end());
 
   pid_t pid = ::fork();
   if (pid < 0) {
@@ -369,23 +386,6 @@ void LocalProcessTransport::kill(std::size_t worker) {
   // had its chance via the heartbeat window.
   ::kill(pids_[worker], SIGKILL);
   (void)wait_for(pids_[worker]);
-}
-
-// --- ShmLocalTransport ------------------------------------------------------
-
-ShmLocalTransport::ShmLocalTransport(LocalProcessConfig config,
-                                     const InjectionPlan& plan,
-                                     const std::vector<Lease>& /*leases*/)
-    : LocalProcessTransport(std::move(config)),
-      arena_(ShmArena::create(this->config().out_dir + "/" +
-                                  this->config().file_prefix + ".arena",
-                              plan_to_binary(plan))) {}
-
-std::vector<std::string> ShmLocalTransport::worker_args() const {
-  std::vector<std::string> args = {"worker", "--arena", arena_.path()};
-  args.insert(args.end(), config().worker_flags.begin(),
-              config().worker_flags.end());
-  return args;
 }
 
 }  // namespace ep::core

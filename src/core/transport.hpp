@@ -1,5 +1,5 @@
 // The coordinator's half of the worker protocol, once for every data
-// plane, and the local-process transports built on it.
+// plane, and the local-process transport built on it.
 //
 // WorkerSession is one worker on the far side of a framed fd pair
 // (core/protocol.hpp framing): a fork/exec worker's stdin/stdout pipes,
@@ -11,20 +11,15 @@
 //
 // FramedTransport is a Transport over a fleet of sessions: PLAN, LEASE, STEAL,
 // FEEDBACK and EXIT go out as frames, and wait_any() is the one poll loop over
-// every session's read end. A subclass says only how a worker's fds are
-// obtained (spawn) and how a closed worker's death is classified (reap).
-// net::TcpTransport (net/transport_tcp.hpp) is the remote subclass; the two
-// here fork/exec `epa_cli worker` on this machine, and differ only in how
-// the first plan reaches the worker (every later one is a PLAN frame):
-//
-//   LocalProcessTransport  the pipe plane: the plan travels as a JSON
-//                          file.
-//   ShmLocalTransport      the shm plane: the binary plan is frozen once
-//                          into an mmap'd arena (core/arena.hpp) that
-//                          every worker maps.
-//
-// Either way each lease report returns as the binary frame after DONE on
-// the worker's stdout.
+// every session's read end. It is built around one plan, and the first frames
+// of every session it opens are that plan: `PLAN <items>`, then the binary
+// plan frame — the same message that later switches a worker to another plan
+// of a suite. A subclass says only how a worker's fds are obtained (spawn) and
+// how a closed worker's death is classified (reap). net::TcpTransport
+// (net/transport_tcp.hpp) is the remote subclass; LocalProcessTransport, here,
+// fork/execs `epa_cli worker` on this machine with its stdin/stdout as the
+// session (the pipe plane; `--data-plane shm` names it too). A local fleet
+// writes no files.
 //
 // Worker stderr is inherited (progress and diagnostics pass through);
 // stdout carries frames only, starting with `HELLO 4`. Exit statuses
@@ -41,9 +36,9 @@
 #include <optional>
 #include <string>
 #include <sys/types.h>
+#include <utility>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/orchestrator.hpp"
 #include "core/protocol.hpp"
 
@@ -123,6 +118,9 @@ class WorkerSession {
 /// A Transport over framed worker sessions; see the file comment.
 class FramedTransport : public Transport {
  public:
+  /// `plan` is encoded once and shipped to every session adopt() opens.
+  explicit FramedTransport(const InjectionPlan& plan);
+
   /// 2: a worker reads its session in order, so its next LEASE waits in
   /// the stream while it drains the current one.
   std::size_t lease_depth() const override { return 2; }
@@ -138,8 +136,10 @@ class FramedTransport : public Transport {
   void shutdown(std::size_t worker) override;
 
  protected:
-  /// Start a session on a connected worker's fds; its id is the next
-  /// worker id.
+  /// Start a session on a connected worker's fds and ship it the
+  /// construction plan (PLAN, then the binary plan frame) before anything
+  /// else; its id is the next worker id. A worker that cannot take the
+  /// plan is dead, and its death surfaces on the read side.
   WorkerSession& adopt(int in_fd, int out_fd);
   /// The session behind `worker`; throws naming `op` when there is none.
   WorkerSession& session(std::size_t worker, const char* op);
@@ -148,29 +148,37 @@ class FramedTransport : public Transport {
   virtual WorkerEvent reap(std::size_t worker) = 0;
 
   std::deque<WorkerSession> sessions_;
+
+ private:
+  std::size_t plan_items_;
+  std::string plan_wire_;  // binary EPAB plan
 };
 
 struct LocalProcessConfig {
   /// The worker binary — normally the running epa_cli itself
   /// (self_exe()).
   std::string epa_cli;
-  /// Serialized plan every worker parses once at startup (pipe data
-  /// plane; the shm transport ships the plan inside its arena instead).
-  std::string plan_path;
-  /// Directory the shm transport's arena file is created in.
-  std::string out_dir;
-  /// The shm transport's arena is <out_dir>/<file_prefix>.arena.
-  std::string file_prefix = "plan";
   /// Appended verbatim to every worker's argv: the worker-side flags the
   /// coordinator was given. Which flags those are, and how they are
   /// spelled, is the CLI's decision; the transport never parses them.
   std::vector<std::string> worker_flags;
+  /// A plan file (JSON or binary) for the one-argument constructor. Kept
+  /// only so perfbench/ compiles; delete with ROADMAP item 3.
+  std::string plan_path;
+  /// Unused. Kept only so perfbench/ compiles; delete with ROADMAP item 3.
+  std::string out_dir;
+  /// Unused. Kept only so perfbench/ compiles; delete with ROADMAP item 3.
+  std::string file_prefix = "plan";
 };
 
-/// The pipe data plane: `epa_cli worker PLAN` processes forked with
-/// their stdin/stdout as the framed session.
+/// The local data plane: `epa_cli worker` processes forked with their
+/// stdin/stdout as the framed session, each handed the plan as its first
+/// frames.
 class LocalProcessTransport : public FramedTransport {
  public:
+  LocalProcessTransport(LocalProcessConfig config, const InjectionPlan& plan);
+  /// Reads the plan from config.plan_path (JSON or binary). Kept only so
+  /// perfbench/ compiles; delete with ROADMAP item 3.
   explicit LocalProcessTransport(LocalProcessConfig config);
   /// Kills (SIGTERM) and reaps any worker still alive — orchestrate()
   /// shuts workers down cleanly on success; this is the error-path net.
@@ -190,36 +198,20 @@ class LocalProcessTransport : public FramedTransport {
   static std::string self_exe(const char* argv0);
 
  protected:
-  /// Worker argv after the binary path: `worker <plan>`, then
-  /// worker_flags; the shm transport substitutes `--arena <file>` for the
-  /// plan file.
-  virtual std::vector<std::string> worker_args() const;
   WorkerEvent reap(std::size_t worker) override;
-
-  const LocalProcessConfig& config() const { return config_; }
 
  private:
   LocalProcessConfig config_;
   std::vector<pid_t> pids_;  // by worker id
 };
 
-/// The same-host shared-memory data plane (core/arena.hpp): the binary
-/// plan is frozen into an mmap'd arena once, and every worker decodes it
-/// straight out of its own mapping instead of parsing a JSON plan file.
+/// LocalProcessTransport under its old shm-plane name; `leases` is
+/// ignored. Kept only so perfbench/ compiles; delete with ROADMAP item 3.
 class ShmLocalTransport : public LocalProcessTransport {
  public:
-  /// Creates <out_dir>/<file_prefix>.arena holding `plan`. No transport
-  /// pre-allocates per-lease resources, so `leases` is unused; it remains
-  /// because perfbench/ (which this API must keep compiling) passes the
-  /// lease_partition() here.
   ShmLocalTransport(LocalProcessConfig config, const InjectionPlan& plan,
-                    const std::vector<Lease>& leases = {});
-
- protected:
-  std::vector<std::string> worker_args() const override;
-
- private:
-  ShmArena arena_;
+                    const std::vector<Lease>& /*leases*/ = {})
+      : LocalProcessTransport(std::move(config), plan) {}
 };
 
 }  // namespace ep::core

@@ -38,8 +38,8 @@ inline constexpr int kShardSchemaVersion = 3;
 
 /// Version of the binary wire encoding (docs/WIRE_FORMAT.md, "Binary
 /// encoding"): the compact non-JSON framing of the same plan and
-/// shard-report models, used by the same-host shared-memory data plane
-/// (core/arena.hpp) and sized for the remote fleet's network framing.
+/// shard-report models, carried by every PLAN plan frame and lease
+/// report frame of the worker protocol.
 /// Versioned independently of the JSON schema versions — the two
 /// encodings carry identical information and decode to identical
 /// in-memory values. Version 2 appends the `redzone-corruption` policy

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <netdb.h>
@@ -123,12 +122,7 @@ int tcp_connect(const std::string& host, int port) {
 
 TcpTransport::TcpTransport(TcpTransportConfig config,
                            const core::InjectionPlan& plan)
-    : config_(std::move(config)),
-      plan_items_(plan.items.size()),
-      plan_wire_(core::plan_to_binary(plan)) {
-  // A worker can vanish between poll() and write(); EPIPE must surface
-  // as a death event, not kill the coordinator.
-  std::signal(SIGPIPE, SIG_IGN);
+    : FramedTransport(plan), config_(std::move(config)) {
   listen_fd_ = tcp_listen(config_.listen_port, &port_);
   if (!config_.port_file.empty()) {
     // Written via rename so a script polling the file never reads a
@@ -156,14 +150,14 @@ std::optional<std::size_t> TcpTransport::spawn() {
   if (fd < 0) return std::nullopt;
   ++accepted_;
 
-  // The socket is both ends of the session. A dud connection (silent,
-  // or gone before taking the plan) is dropped; a worker that opens with
-  // anything but a matching HELLO throws from the gate.
+  // The socket is both ends of the session, and the plan is on its way
+  // down it. A dud connection (silent, or gone before saying HELLO) is
+  // dropped; a worker that opens with anything but a matching HELLO
+  // throws from the gate.
   core::WorkerSession& s = adopt(fd, fd);
   bool ok = false;
   try {
-    ok = s.handshake(config_.handshake_timeout_ms) &&
-         s.load(plan_items_, plan_wire_);
+    ok = s.handshake(config_.handshake_timeout_ms);
   } catch (...) {
     sessions_.pop_back();
     throw;

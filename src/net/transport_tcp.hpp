@@ -1,13 +1,12 @@
 // TcpTransport: the remote data plane — no shared filesystem, no fork.
 // The coordinator listens; workers are started on any host (`epa_cli
 // worker --connect host:port`) and dial in. spawn() adopts a connection
-// from the accept queue, passes its first frame through the HELLO gate,
-// and ships the plan down the socket as `PLAN <items>` followed by one
-// binary EPAB frame — the same message that switches any worker to a
-// later plan of a suite. From there the socket is an ordinary framed
-// worker session
-// (core/transport.hpp) — the same frames every data plane speaks, with
-// each lease report riding back as the binary frame after DONE.
+// from the accept queue — which, as on every framed plane, ships the plan
+// down the socket as `PLAN <items>` followed by one binary EPAB frame —
+// and passes the worker's first frame through the HELLO gate. From there
+// the socket is an ordinary framed worker session (core/transport.hpp) —
+// the same frames every data plane speaks, with each lease report riding
+// back as the binary frame after DONE.
 //
 // Death has no exit status here, only silence and resets, so the
 // classification is wire-level: a worker announces its exit with
@@ -62,8 +61,8 @@ struct TcpTransportConfig {
 class TcpTransport : public core::FramedTransport {
  public:
   /// Binds and listens immediately; `plan` is encoded once and shipped
-  /// (PLAN, then the binary frame) to every worker that completes the
-  /// handshake. A worker moves on to later plans through load().
+  /// (PLAN, then the binary frame) to every worker that dials in. A
+  /// worker moves on to later plans through load().
   TcpTransport(TcpTransportConfig config, const core::InjectionPlan& plan);
   /// Closes every socket — workers see EOF and exit; none are left
   /// holding a dead coordinator's connection.
@@ -83,8 +82,6 @@ class TcpTransport : public core::FramedTransport {
 
  private:
   TcpTransportConfig config_;
-  std::size_t plan_items_;  // the handshake's PLAN <items>
-  std::string plan_wire_;   // binary EPAB plan, shipped per worker
   int listen_fd_ = -1;
   int port_ = 0;
   std::size_t accepted_ = 0;

@@ -273,9 +273,11 @@ TEST(WorkerSession, ShutdownClosesASeparateWriteEndOnly) {
 
 
 /// A FramedTransport whose workers are the far ends of socketpairs the
-/// test holds — Transport::load() through the real framed base.
+/// test holds — the construction plan and Transport::load() through the
+/// real framed base.
 class PairTransport : public FramedTransport {
  public:
+  explicit PairTransport(const InjectionPlan& plan) : FramedTransport(plan) {}
   ~PairTransport() override {
     for (int fd : worker_fds)
       if (fd >= 0) ::close(fd);
@@ -297,19 +299,46 @@ class PairTransport : public FramedTransport {
   }
 };
 
+/// The next two frames `worker_fd` receives must be `plan` as PLAN
+/// ships it: `PLAN <items>`, then exactly the binary plan frame.
+void expect_plan_frames(int worker_fd, FrameBuffer* fb,
+                        const InjectionPlan& plan) {
+  std::string frame;
+  ASSERT_TRUE(recv_frame(worker_fd, fb, &frame, 2000));
+  EXPECT_EQ(frame, "PLAN " + std::to_string(plan.items.size()));
+  ASSERT_TRUE(recv_frame(worker_fd, fb, &frame, 2000));
+  EXPECT_EQ(frame, plan_to_binary(plan));
+}
+
+TEST(WorkerSession, EverySessionOpensWithTheConstructionPlan) {
+  // Every framed plane hands a worker its first plan one way: PLAN and
+  // the binary plan frame, ahead of anything else the session carries.
+  const InjectionPlan plan = Planner(toy_scenario()).plan({});
+  ASSERT_GT(plan.items.size(), 1u);
+  PairTransport t(plan);
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t w = *t.spawn();
+    t.submit(w, {0, 0, 1});
+    FrameBuffer fb;
+    expect_plan_frames(t.worker_fds[w], &fb, plan);
+    std::string frame;
+    ASSERT_TRUE(recv_frame(t.worker_fds[w], &fb, &frame, 2000));
+    EXPECT_EQ(frame, "LEASE 0 1 -");
+    EXPECT_FALSE(fb.mid_frame());
+  }
+}
+
 TEST(WorkerSession, LoadSendsPlanThenExactlyTheBinaryPlanFrame) {
-  PairTransport t;
+  const InjectionPlan first;  // the construction plan: no items
+  PairTransport t(first);
   const std::size_t w = *t.spawn();
   const InjectionPlan plan = Planner(toy_scenario()).plan({});
   ASSERT_GT(plan.items.size(), 0u);
   t.load(w, plan);
 
   FrameBuffer fb;
-  std::string frame;
-  ASSERT_TRUE(recv_frame(t.worker_fds[w], &fb, &frame, 2000));
-  EXPECT_EQ(frame, "PLAN " + std::to_string(plan.items.size()));
-  ASSERT_TRUE(recv_frame(t.worker_fds[w], &fb, &frame, 2000));
-  EXPECT_EQ(frame, plan_to_binary(plan));
+  expect_plan_frames(t.worker_fds[w], &fb, first);
+  expect_plan_frames(t.worker_fds[w], &fb, plan);
   EXPECT_FALSE(fb.mid_frame());  // nothing else went out
 }
 

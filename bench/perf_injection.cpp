@@ -10,9 +10,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "core/snapshot.hpp"
 #include "core/wire.hpp"
 #include "os/world.hpp"
+#include "util/json.hpp"
 #include "vulndb/coverage.hpp"
 
 namespace {
@@ -328,7 +332,113 @@ double codec_encode_decode_rps() {
   return static_cast<double>(outcomes) * kIters / best;
 }
 
-void write_sweep_json(const char* path) {
+/// printf into a std::string.
+[[gnu::format(printf, 1, 2)]] std::string format(const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list again;
+  va_copy(again, args);
+  int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  std::string out(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+  va_end(again);
+  return out;
+}
+
+/// The top-level members of a JSON object, each as (key, value text
+/// exactly as written), in document order. Validates with util/json
+/// first, so the scan below only has to skip well-formed values.
+std::vector<std::pair<std::string, std::string>> raw_members(
+    std::string_view text) {
+  JsonValue doc = json_parse(text);
+  const JsonValue::Members& members = doc.members();  // throws if no object
+  std::size_t i = 0;
+  auto skip_ws = [&] {
+    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
+      ++i;
+  };
+  auto skip_string = [&] {  // at the opening quote
+    for (++i; text[i] != '"'; ++i)
+      if (text[i] == '\\') ++i;
+    ++i;
+  };
+  auto skip_value = [&] {
+    int depth = 0;
+    do {
+      if (text[i] == '"') {
+        skip_string();
+        continue;
+      }
+      if (text[i] == '{' || text[i] == '[') ++depth;
+      if (text[i] == '}' || text[i] == ']') --depth;
+      ++i;
+    } while (i < text.size() &&
+             (depth > 0 || std::string_view(",}] \t\r\n").find(text[i]) ==
+                               std::string_view::npos));
+  };
+  std::vector<std::pair<std::string, std::string>> out;
+  skip_ws();
+  ++i;  // '{'
+  for (const auto& [key, value] : members) {
+    skip_ws();
+    skip_string();  // the key, already decoded by json_parse
+    skip_ws();
+    ++i;  // ':'
+    skip_ws();
+    std::size_t begin = i;
+    skip_value();
+    out.emplace_back(key, std::string(text.substr(begin, i - begin)));
+    skip_ws();
+    ++i;  // ',' or '}'
+  }
+  return out;
+}
+
+/// Write the object `produced` to `path`, keeping every member of the
+/// file already there that `produced` does not name — the hand-recorded
+/// e2e_* A/B records above all — in its order and byte for byte after the
+/// produced members. Refuses to touch a file that is not a JSON object.
+bool merge_into_json_file(const char* path, const std::string& produced) {
+  auto members = raw_members(produced);
+  std::vector<std::string> produced_keys;
+  for (const auto& m : members) produced_keys.push_back(m.first);
+  if (std::FILE* in = std::fopen(path, "rb")) {
+    std::string old;
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, in)) > 0;)
+      old.append(buf, n);
+    std::fclose(in);
+    try {
+      for (auto& m : raw_members(old))
+        if (std::find(produced_keys.begin(), produced_keys.end(), m.first) ==
+            produced_keys.end())
+          members.push_back(std::move(m));
+    } catch (const JsonError& e) {
+      std::fprintf(stderr, "perf_injection: %s is not a JSON object (%s); "
+                   "left unchanged\n", path, e.what());
+      return false;
+    }
+  }
+  std::string out = "{\n";
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    out += "  \"" + members[k].first + "\": " + members[k].second;
+    out += k + 1 < members.size() ? ",\n" : "\n";
+  }
+  out += "}\n";
+  std::string tmp = std::string(path) + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  bool ok = f && std::fwrite(out.data(), 1, out.size(), f) == out.size();
+  ok = f && std::fclose(f) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path) != 0) {
+    std::fprintf(stderr, "perf_injection: cannot write %s\n", path);
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
+bool write_sweep_json(const char* path) {
   core::MultiCampaign suite;
   for (auto& s : apps::all_scenarios()) suite.add(std::move(s));
 
@@ -452,12 +562,7 @@ void write_sweep_json(const char* path) {
   unsigned hw = std::thread::hardware_concurrency();
   bool core_starved = hw < static_cast<unsigned>(kJobs);
 
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "perf_injection: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
+  std::string produced = format(
                "{\n"
                "  \"scenarios\": %zu,\n"
                "  \"injection_runs\": %d,\n"
@@ -505,7 +610,7 @@ void write_sweep_json(const char* path) {
                family_rps,
                vuln_coverage_pct, relay->name.c_str(), exhaustive_items,
                search_budget, search_budget_pct, search_coverage_ratio);
-  std::fclose(f);
+  if (!merge_into_json_file(path, produced)) return false;
   std::printf(
       "\nsweep: %d injection runs across %zu scenarios\n"
       "  serial            : %8.1f runs/sec\n"
@@ -540,6 +645,7 @@ void write_sweep_json(const char* path) {
         "and cached-serial rates only\n",
         hw, hw == 1 ? "" : "s", kJobs);
   std::printf("  -> %s\n", path);
+  return true;
 }
 
 }  // namespace
@@ -561,6 +667,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (sweep) write_sweep_json("BENCH_perf_injection.json");
+  if (sweep && !write_sweep_json("BENCH_perf_injection.json")) return 1;
   return 0;
 }

@@ -89,19 +89,11 @@ void Kernel::dispatch_after(SyscallCtx& ctx, Err result) {
 }
 
 bool Kernel::ancestor_untrusted(Ino ino) const {
-  // Walks from the object to the root via canonical parents; an untrusted
-  // directory taints everything below it (the paper's profile-directory
-  // trustability case).
-  int guard = 0;
-  Ino cur = ino;
-  while (vfs_.exists(cur) && guard++ < 512) {
+  // An untrusted directory taints everything below it (the paper's
+  // profile-directory trustability case): walk the parent links to the
+  // root, or to the top of a detached subtree. rename keeps them acyclic.
+  for (Ino cur = ino; cur != kNoIno; cur = vfs_.parent_of(cur))
     if (!vfs_.inode(cur).trusted) return true;
-    std::string p = vfs_.canonical_path(cur);
-    if (p == "/" || ep::starts_with(p, "<detached")) break;
-    auto up = vfs_.resolve(path::dirname(p), "/", kRootUid, kRootGid);
-    if (!up.ok() || up.value() == cur) break;
-    cur = up.value();
-  }
   return false;
 }
 
@@ -185,6 +177,10 @@ SysResult<Fd> Kernel::open(const Site& site, Pid pid, const std::string& pth,
     if (!nrp.ok()) return finish(nrp.error());
     cur = nrp.value();
   }
+
+  // "." and ".." name directories, never a file to create.
+  if (flags.has(OpenFlag::creat) && path::is_dot_name(cur.leaf))
+    return finish(Err::isdir);
 
   Ino file_ino = kNoIno;
   if (cur.leaf_ino != kNoIno) {
@@ -471,7 +467,8 @@ SysStatus Kernel::mkdir(const Site& site, Pid pid, const std::string& pth,
     return ok_status();
   };
   if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino != kNoIno) return finish(Err::exist);
+  if (rp.value().leaf_ino != kNoIno || path::is_dot_name(rp.value().leaf))
+    return finish(Err::exist);
   const Inode& dir = vfs_.inode(rp.value().dir_ino);
   if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
     return finish(Err::acces);
@@ -502,6 +499,9 @@ SysStatus Kernel::rmdir(const Site& site, Pid pid, const std::string& pth) {
     return ok_status();
   };
   if (!rp.ok()) return finish(rp.error());
+  // As rmdir(2): "." is an invalid argument, ".." is never empty.
+  if (rp.value().leaf == ".") return finish(Err::inval);
+  if (rp.value().leaf == "..") return finish(Err::notempty);
   if (rp.value().leaf_ino == kNoIno) return finish(Err::noent);
   describe_object(ctx, rp.value().leaf_ino);
   ctx.object_preexisting = true;
@@ -535,6 +535,7 @@ SysStatus Kernel::unlink(const Site& site, Pid pid, const std::string& pth) {
     return ok_status();
   };
   if (!rp.ok()) return finish(rp.error());
+  if (path::is_dot_name(rp.value().leaf)) return finish(Err::isdir);
   if (rp.value().leaf_ino == kNoIno) return finish(Err::noent);
   describe_object(ctx, rp.value().leaf_ino);
   ctx.object_preexisting = true;
@@ -569,9 +570,11 @@ SysStatus Kernel::rename(const Site& site, Pid pid, const std::string& from,
   };
   auto rf = vfs_.resolve_parent(from, p.cwd, p.euid, p.egid);
   if (!rf.ok()) return finish(rf.error());
+  if (path::is_dot_name(rf.value().leaf)) return finish(Err::inval);
   if (rf.value().leaf_ino == kNoIno) return finish(Err::noent);
   auto rt = vfs_.resolve_parent(to, p.cwd, p.euid, p.egid);
   if (!rt.ok()) return finish(rt.error());
+  if (path::is_dot_name(rt.value().leaf)) return finish(Err::inval);
   const Inode& fdir = vfs_.inode(rf.value().dir_ino);
   const Inode& tdir = vfs_.inode(rt.value().dir_ino);
   if (!Vfs::permits_with_root(fdir, p.euid, p.egid, Perm::write) ||
@@ -611,7 +614,8 @@ SysStatus Kernel::symlink(const Site& site, Pid pid, const std::string& target,
   };
   auto rp = vfs_.resolve_parent(linkpath, p.cwd, p.euid, p.egid);
   if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino != kNoIno) return finish(Err::exist);
+  if (rp.value().leaf_ino != kNoIno || path::is_dot_name(rp.value().leaf))
+    return finish(Err::exist);
   const Inode& dir = vfs_.inode(rp.value().dir_ino);
   if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
     return finish(Err::acces);

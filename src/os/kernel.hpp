@@ -240,6 +240,8 @@ class Kernel {
                                             const std::string& command);
   /// Fill ctx.canonical/object/object_untrusted from a resolved inode.
   void describe_object(SyscallCtx& ctx, Ino ino) const;
+  /// True iff `ino` or any inode on its parent-link chain is untrusted.
+  /// Precondition: vfs_.exists(ino).
   [[nodiscard]] bool ancestor_untrusted(Ino ino) const;
   /// Inline guard check on a file syscall path: report if this inode's
   /// redzone is no longer intact.

@@ -6,6 +6,8 @@ namespace ep::os::path {
 
 bool is_absolute(std::string_view p) { return !p.empty() && p[0] == '/'; }
 
+bool is_dot_name(std::string_view name) { return name == "." || name == ".."; }
+
 std::vector<std::string> components(std::string_view p) {
   return ep::split_nonempty(p, '/');
 }

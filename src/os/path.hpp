@@ -13,6 +13,9 @@ namespace ep::os::path {
 /// True if p starts with '/'.
 bool is_absolute(std::string_view p);
 
+/// True for the names "." and "..", which never name a directory entry.
+bool is_dot_name(std::string_view name);
+
 /// Split into components, dropping empty ones ("/a//b" -> {"a","b"}).
 std::vector<std::string> components(std::string_view p);
 

@@ -11,24 +11,26 @@
 // which knows the calling process's credentials. This lets perturbers and
 // the oracle query "could uid U write inode I?" without a process.
 //
-// Copy-on-write: inodes are held through shared_ptr, so copying a Vfs
-// copies only the maps — every node is *shared* with the original. All
-// mutation goes through mutate(), which unshares a node the first time a
-// given Vfs writes it. That makes Vfs copies cheap world snapshots (see
-// core/snapshot.hpp): a frozen prototype built once can be cloned per
-// injection run, and a run's perturbations only ever touch that run's
-// private copies. Sharing is thread-safe as long as the prototype is
-// never mutated while clones exist: clones on different threads only read
-// shared nodes (unsharing copies from them) and only write nodes they
-// alone own — use_count()==1 proves sole ownership because no other
-// thread can hold a reference into this Vfs's maps.
+// Copy-on-write: inodes are held through shared_ptr in one flat slot
+// table indexed by Ino, so copying a Vfs copies one vector — every node is
+// *shared* with the original. All mutation goes through mutate(), which
+// unshares a node the first time a given Vfs writes it. That makes Vfs
+// copies cheap world snapshots (see core/snapshot.hpp): a frozen prototype
+// built once can be cloned per injection run, and a run's perturbations
+// only ever touch that run's private copies. Sharing is thread-safe as
+// long as the prototype is never mutated while clones exist: clones on
+// different threads only read shared nodes (unsharing copies from them)
+// and only write nodes they alone own — use_count()==1 proves sole
+// ownership because no other thread can hold a reference into this Vfs's
+// slot table.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "os/path.hpp"
@@ -48,8 +50,9 @@ struct Inode {
   unsigned mode = 0644;  // permission bits + kSetUidBit
   /// Regular files: data. Symlinks: link target path.
   std::string content;
-  /// Directories: name -> child inode.
-  std::map<std::string, Ino> entries;
+  /// Directories: name -> child inode. Never holds "." or "..": those
+  /// are resolved from the parent links, not stored.
+  std::map<std::string, Ino, std::less<>> entries;
   /// Name of the registered application image this file executes as, empty
   /// for plain data files. The simulated equivalent of an ELF header.
   std::string image;
@@ -99,12 +102,19 @@ class Vfs {
 
   // --- inode access -------------------------------------------------------
   [[nodiscard]] Ino root() const { return root_; }
-  [[nodiscard]] bool exists(Ino ino) const { return inodes_.count(ino) != 0; }
+  /// Inos are dense, allocated from 1 and never freed (an unlinked inode
+  /// stays allocated, detached from the namespace).
+  [[nodiscard]] bool exists(Ino ino) const {
+    return ino > 0 && static_cast<std::size_t>(ino) < slots_.size();
+  }
   /// Precondition: exists(ino). Throws std::out_of_range otherwise.
   /// The returned reference may go stale for *this* Vfs if the node is
   /// later mutate()d while still shared with a copy; re-fetch after any
   /// call that can mutate (in the kernel: after dispatching hooks).
-  [[nodiscard]] const Inode& inode(Ino ino) const { return *inodes_.at(ino); }
+  [[nodiscard]] const Inode& inode(Ino ino) const { return *slot(ino).node; }
+  /// The directory holding `ino`'s entry: kNoIno for the root and for
+  /// detached inodes. Precondition: exists(ino).
+  [[nodiscard]] Ino parent_of(Ino ino) const { return slot(ino).parent; }
   /// Writable access with copy-on-write: unshares the node if any Vfs
   /// copy still shares it, so the write never leaks into the prototype or
   /// sibling clones. Precondition: exists(ino).
@@ -112,8 +122,7 @@ class Vfs {
   /// True when the node is still shared with another Vfs copy (test/debug
   /// introspection for the snapshot layer).
   [[nodiscard]] bool shares_node(Ino ino) const {
-    auto it = inodes_.find(ino);
-    return it != inodes_.end() && it->second.use_count() > 1;
+    return exists(ino) && slots_[ino].node.use_count() > 1;
   }
 
   // --- permission predicates (mechanism only; root bypass is Kernel policy)
@@ -143,7 +152,8 @@ class Vfs {
                                                          Gid gid) const;
 
   /// Canonical absolute path of an existing inode (walks parent links).
-  /// Directories only know their children, so Vfs maintains a parent map.
+  /// Directories only know their children, so every slot records its
+  /// parent and its name there. "<detached:N>" for an unlinked inode.
   [[nodiscard]] std::string canonical_path(Ino ino) const;
 
   /// Resolve fully and return the canonical path, following symlinks.
@@ -163,7 +173,8 @@ class Vfs {
   /// Errors: noent, isdir (use remove_dir), notempty.
   SysStatus remove(Ino dir, const std::string& name);
   SysStatus remove_dir(Ino dir, const std::string& name);
-  /// Rename within or across directories.
+  /// Rename within or across directories. Errors: noent, nametoolong,
+  /// notdir, isdir, inval (a dot name, or a directory moved below itself).
   SysStatus rename_entry(Ino src_dir, const std::string& src_name, Ino dst_dir,
                          const std::string& dst_name);
   /// Unconditionally detach an entry (file, symlink, or whole directory
@@ -189,22 +200,42 @@ class Vfs {
   /// for invariant checks and test assertions.
   [[nodiscard]] std::vector<std::string> list_all_paths() const;
 
-  /// Structural invariants: every entry points at a live inode, every live
-  /// non-root inode has exactly one parent, parent map matches entries.
+  /// Structural invariants: every entry points at a live inode, no entry is
+  /// named "." or "..", every linked slot's parent and name match the
+  /// directory entry that holds it, and vice versa.
   /// Returns a description of the first violation, or empty if consistent.
   [[nodiscard]] std::string check_invariants() const;
 
  private:
-  Ino alloc(FileType type, Uid uid, Gid gid, unsigned mode);
+  /// One allocated inode: the node (shared across Vfs copies until first
+  /// write, see mutate()) and its place in the namespace.
+  struct Slot {
+    std::shared_ptr<Inode> node;
+    Ino parent = kNoIno;  // containing dir; kNoIno for root and detached
+    std::string name;     // entry name in `parent`; empty when detached
+  };
 
-  /// Nodes are shared across Vfs copies until first write (see mutate()).
-  /// A side effect worth knowing: map rehashing moves only the pointers,
-  /// so inode references stay valid across alloc().
-  std::unordered_map<Ino, std::shared_ptr<Inode>> inodes_;
-  std::unordered_map<Ino, Ino> parent_;          // child -> containing dir
-  std::unordered_map<Ino, std::string> name_in_parent_;
+  Ino alloc(FileType type, Uid uid, Gid gid, unsigned mode);
+  /// Precondition: exists(ino). Throws std::out_of_range otherwise.
+  [[nodiscard]] const Slot& slot(Ino ino) const;
+  /// Hang `ino` in `dir` under `name` (both directions of the link).
+  void link(Ino dir, const std::string& name, Ino ino);
+  /// Clear `ino`'s parent link (its entry is already gone).
+  void unlink_slot(Ino ino);
+  /// Walk `rel`'s components — after cwd's when `rel` is relative — from
+  /// the root, following symlinks (and a final one when follow_final).
+  [[nodiscard]] SysResult<Ino> walk(std::string_view rel,
+                                    std::string_view cwd, Uid uid, Gid gid,
+                                    bool follow_final) const;
+  /// canonical_path(dir) + "/" + leaf (just the former for an empty leaf),
+  /// built in one allocation.
+  [[nodiscard]] std::string path_below(Ino dir, std::string_view leaf) const;
+
+  /// Indexed by Ino; slot 0 is never allocated. A vector may move the
+  /// slots on alloc(), but the nodes they point at stay put, so inode
+  /// references stay valid across alloc().
+  std::vector<Slot> slots_;
   Ino root_ = kNoIno;
-  Ino next_ino_ = 1;
 };
 
 }  // namespace ep::os

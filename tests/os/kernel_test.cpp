@@ -369,5 +369,205 @@ TEST_F(KernelTest, DescribeObjectRecordsRuidAccess) {
   EXPECT_FALSE(cap->writable);
 }
 
+
+// --- entity trustability: the parent-link walk ------------------------------
+//
+// An inode is tainted iff it or any inode on its parent-link chain is
+// untrusted. The walk needs no path: it reaches detached subtrees,
+// directories nobody may search, and chains longer than kMaxPathLen.
+
+/// Records ctx.object_untrusted of the last syscall that named an object.
+struct TrustProbe : Interposer {
+  bool untrusted = false;
+  int seen = 0;
+  void after(Kernel&, SyscallCtx& ctx, Err) override {
+    if (ctx.object == kNoIno) return;
+    untrusted = ctx.object_untrusted;
+    ++seen;
+  }
+};
+
+class TrustWalkTest : public KernelTest {
+ protected:
+  TrustWalkTest() { k.add_interposer(probe); }
+  void distrust(const std::string& p) {
+    k.vfs().mutate(k.vfs().resolve(p, "/", kRootUid, kRootGid).value())
+        .trusted = false;
+  }
+  std::shared_ptr<TrustProbe> probe = std::make_shared<TrustProbe>();
+};
+
+TEST_F(TrustWalkTest, TrustedChainIsClean) {
+  world::put_file(k, "/a/b/c/f", "x");
+  ASSERT_TRUE(k.stat(kS, root, "/a/b/c/f").ok());
+  EXPECT_EQ(probe->seen, 1);
+  EXPECT_FALSE(probe->untrusted);
+}
+
+TEST_F(TrustWalkTest, UntrustedAtEveryDepthTaintsTheLeaf) {
+  const std::vector<std::string> chain = {"/", "/a", "/a/b", "/a/b/c",
+                                          "/a/b/c/f"};
+  for (const auto& marked : chain) {
+    Kernel fresh;
+    world::put_file(fresh, "/a/b/c/f", "x");
+    world::put_file(fresh, "/a/side", "y");
+    fresh.vfs()
+        .mutate(fresh.vfs().resolve(marked, "/", kRootUid, kRootGid).value())
+        .trusted = false;
+    auto probe = std::make_shared<TrustProbe>();
+    fresh.add_interposer(probe);
+    Pid r = fresh.make_process(kRootUid, kRootGid, "/");
+    for (const auto& p : chain) {
+      ASSERT_TRUE(fresh.stat(kS, r, p).ok());
+      // Tainted exactly when the marked inode is p or one of its ancestors.
+      bool below = marked == "/" || p == marked ||
+                   path::is_under(p, marked);
+      EXPECT_EQ(probe->untrusted, below) << "marked " << marked << ", " << p;
+    }
+    ASSERT_TRUE(fresh.stat(kS, r, "/a/side").ok());
+    EXPECT_EQ(probe->untrusted, marked == "/" || marked == "/a") << marked;
+  }
+}
+
+TEST_F(TrustWalkTest, UnsearchableAncestorStillTaints) {
+  // /a has no x bit at all, so not even root may resolve a path through
+  // it; the taint reaches the file through the parent links regardless.
+  world::put_file(k, "/a/b/f", "x");
+  distrust("/a");
+  auto fd = k.open(kS, root, "/a/b/f", OpenFlag::rd);
+  ASSERT_TRUE(fd.ok());
+  k.vfs().mutate(k.vfs().resolve("/a", "/", kRootUid, kRootGid).value())
+      .mode = 0600;
+  EXPECT_EQ(k.stat(kS, root, "/a/b/f").error(), Err::acces);
+  ASSERT_TRUE(k.read(kS, root, fd.value()).ok());
+  EXPECT_TRUE(probe->untrusted);
+}
+
+TEST_F(TrustWalkTest, DetachedSubtreeKeepsItsTaint) {
+  world::put_file(k, "/d/sub/f", "x");
+  distrust("/d/sub");
+  auto fd = k.open(kS, root, "/d/sub/f", OpenFlag::rd);
+  ASSERT_TRUE(fd.ok());
+  k.vfs().detach(k.vfs().root(), "d");
+  ASSERT_TRUE(k.read(kS, root, fd.value()).ok());
+  EXPECT_TRUE(probe->untrusted);
+}
+
+TEST_F(TrustWalkTest, DetachedCleanSubtreeIsClean) {
+  world::put_file(k, "/d/sub/f", "x");
+  distrust("/");  // the root no longer sits above the detached subtree
+  auto fd = k.open(kS, root, "/d/sub/f", OpenFlag::rd);
+  ASSERT_TRUE(fd.ok());
+  k.vfs().detach(k.vfs().root(), "d");
+  ASSERT_TRUE(k.read(kS, root, fd.value()).ok());
+  EXPECT_FALSE(probe->untrusted);
+}
+
+TEST_F(TrustWalkTest, ChainLongerThanMaxPathLenTaints) {
+  // 40 levels of 200-byte names: the canonical path is ~8 KB, twice
+  // kMaxPathLen, so no path-based walk could reach the top.
+  Vfs& vfs = k.vfs();
+  Ino top = vfs.create_dir(vfs.root(), "top", kRootUid, kRootGid, 0755)
+                .value();
+  vfs.mutate(top).trusted = false;
+  std::string deep = "/top";
+  Ino cur = top;
+  for (int i = 0; i < 40; ++i) {
+    std::string name(200, static_cast<char>('a' + i % 26));
+    cur = vfs.create_dir(cur, name, kRootUid, kRootGid, 0755).value();
+    deep += "/" + name;
+  }
+  ASSERT_TRUE(vfs.create_file(cur, "f", kRootUid, kRootGid, 0644).ok());
+  ASSERT_GT(deep.size(), kMaxPathLen);
+  EXPECT_EQ(vfs.canonical_path(cur), deep);
+  // A relative name from a cwd inside the chain keeps the path short.
+  k.proc(root).cwd = deep;
+  ASSERT_TRUE(k.stat(kS, root, "f").ok());
+  EXPECT_TRUE(probe->untrusted);
+  vfs.mutate(top).trusted = true;
+  ASSERT_TRUE(k.stat(kS, root, "f").ok());
+  EXPECT_FALSE(probe->untrusted);
+}
+
+// --- dot leaves: "." and ".." never name a new or removable entry ----------
+
+TEST_F(KernelTest, OpenCreatOnDotLeafIsIsdir) {
+  for (const char* p : {"/home/alice/.", "/home/alice/..", "."}) {
+    EXPECT_EQ(k.open(kS, alice, p, OpenFlag::wr | OpenFlag::creat).error(),
+              Err::isdir)
+        << p;
+    EXPECT_EQ(k.open(kS, alice, p, OpenFlag::rd | OpenFlag::creat).error(),
+              Err::isdir)
+        << p;
+  }
+  EXPECT_TRUE(k.vfs().check_invariants().empty());
+  EXPECT_EQ(k.readdir(kS, alice, "/home/alice").value().size(), 0u);
+}
+
+TEST_F(KernelTest, MkdirAndSymlinkOnDotLeafAreExist) {
+  for (const char* p : {"/home/alice/.", "/home/alice/..", ".."}) {
+    EXPECT_EQ(k.mkdir(kS, alice, p).error(), Err::exist) << p;
+    EXPECT_EQ(k.symlink(kS, alice, "/etc/passwd", p).error(), Err::exist)
+        << p;
+  }
+  EXPECT_TRUE(k.vfs().check_invariants().empty());
+  EXPECT_EQ(k.readdir(kS, alice, "/home/alice").value().size(), 0u);
+}
+
+TEST_F(KernelTest, UnlinkOnDotLeafIsIsdir) {
+  EXPECT_EQ(k.unlink(kS, alice, "/home/alice/.").error(), Err::isdir);
+  EXPECT_EQ(k.unlink(kS, alice, "/home/alice/..").error(), Err::isdir);
+}
+
+TEST_F(KernelTest, RmdirDotIsInvalAndDotDotIsNotempty) {
+  world::mkdirs(k, "/home/alice/d", 1000, 1000, 0755);
+  EXPECT_EQ(k.rmdir(kS, alice, "/home/alice/d/.").error(), Err::inval);
+  EXPECT_EQ(k.rmdir(kS, alice, "/home/alice/d/..").error(), Err::notempty);
+  EXPECT_TRUE(k.stat(kS, alice, "/home/alice/d").ok());
+}
+
+TEST_F(KernelTest, RenameToOrFromDotLeafIsInval) {
+  world::put_file(k, "/home/alice/f", "x", 1000, 1000, 0644);
+  world::mkdirs(k, "/home/alice/d", 1000, 1000, 0755);
+  EXPECT_EQ(k.rename(kS, alice, "/home/alice/f", "/home/alice/d/.").error(),
+            Err::inval);
+  EXPECT_EQ(k.rename(kS, alice, "/home/alice/f", "/home/alice/d/..").error(),
+            Err::inval);
+  EXPECT_EQ(k.rename(kS, alice, "/home/alice/d/.", "/home/alice/g").error(),
+            Err::inval);
+  EXPECT_EQ(k.rename(kS, alice, "/home/alice/d/..", "/home/alice/g").error(),
+            Err::inval);
+  EXPECT_EQ(k.peek("/home/alice/f").value(), "x");
+  EXPECT_TRUE(k.vfs().check_invariants().empty());
+}
+
+TEST_F(KernelTest, RenameDirectoryBelowItselfIsInval) {
+  // Would cut /home/alice/d off the root and close a parent-link cycle.
+  world::mkdirs(k, "/home/alice/d/e", 1000, 1000, 0755);
+  EXPECT_EQ(k.rename(kS, alice, "/home/alice/d", "/home/alice/d/e/d").error(),
+            Err::inval);
+  EXPECT_EQ(k.rename(kS, alice, "/home/alice/d", "/home/alice/d/x").error(),
+            Err::inval);
+  EXPECT_TRUE(k.rename(kS, alice, "/home/alice/d/e", "/home/alice/e").ok());
+  EXPECT_TRUE(k.vfs().check_invariants().empty());
+}
+
+TEST(VfsDotNames, CreateAndRenameRefuseDotNames) {
+  Vfs vfs;
+  Ino d = vfs.create_dir(vfs.root(), "d", kRootUid, kRootGid, 0755).value();
+  for (const char* n : {".", ".."}) {
+    EXPECT_EQ(vfs.create_file(d, n, kRootUid, kRootGid, 0644).error(),
+              Err::exist);
+    EXPECT_EQ(vfs.create_dir(d, n, kRootUid, kRootGid, 0755).error(),
+              Err::exist);
+    EXPECT_EQ(vfs.create_symlink(d, n, kRootUid, kRootGid, "/").error(),
+              Err::exist);
+  }
+  ASSERT_TRUE(vfs.create_file(d, "f", kRootUid, kRootGid, 0644).ok());
+  EXPECT_EQ(vfs.rename_entry(d, "f", d, "..").error(), Err::inval);
+  EXPECT_EQ(vfs.list_all_paths(), (std::vector<std::string>{"/d", "/d/f"}));
+  EXPECT_TRUE(vfs.check_invariants().empty());
+}
+
 }  // namespace
 }  // namespace ep::os

@@ -2,10 +2,11 @@
 //
 // Every environment-application interaction (file syscalls, getenv, argv
 // access, network receive, registry reads, program output, app-level fault
-// reports) flows through a hook chain as a SyscallCtx. This is the
-// simulated equivalent of the ptrace/LD_PRELOAD interception a real
-// implementation of the paper's tool would use, and it is where all three
-// roles of the methodology plug in:
+// reports) flows through a hook chain as a SyscallCtx; Kernel::interact()
+// is the one place the chain is walked. This is the simulated equivalent
+// of the ptrace/LD_PRELOAD interception a real implementation of the
+// paper's tool would use, and it is where all three roles of the
+// methodology plug in:
 //
 //   * the trace recorder discovers interaction points (procedure step 3),
 //   * the injector perturbs the environment in `before` (direct faults)
@@ -15,9 +16,12 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "os/types.hpp"
 #include "util/errno.hpp"
+#include "util/result.hpp"
 
 namespace ep::os {
 
@@ -34,6 +38,11 @@ enum class AppFault {
 };
 
 struct SyscallCtx {
+  SyscallCtx() = default;
+  SyscallCtx(const Site& site, Pid pid, std::string_view call,
+             std::string_view path = {})
+      : site(site), pid(pid), call(call), path(path) {}
+
   Site site;
   Pid pid = -1;
   std::string call;  // "open", "read", "getenv", "arg", "exec", "recv", ...
@@ -62,12 +71,16 @@ struct SyscallCtx {
   bool net_auth_confirmation = false;  // genuine AUTH_OK from a live,
                                        // trusted authority
   std::string channel_kind;            // "network" or "ipc" for channel ops
-
-  // Before-hooks may force the syscall to fail without touching state —
-  // used by the service-availability and existence perturbations.
-  bool force_fail = false;
-  Err forced_error = Err::inval;
 };
+
+/// The input a lookup (getenv, dns, regread) delivers once the after-hooks
+/// ran: a miss fails only if no hook left a value in ctx.data, since an
+/// injected value can materialize an input the OS never set — the
+/// "initialization the programmer never sees" case from Section 2.3.1.
+inline SysResult<std::string> delivered_input(Err e, SyscallCtx& ctx) {
+  if (e != Err::ok && ctx.data.empty()) return e;
+  return std::move(ctx.data);
+}
 
 class Interposer {
  public:

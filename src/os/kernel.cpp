@@ -20,6 +20,21 @@ bool sticky_denies(const Process& p, const Inode& dir, const Inode& victim) {
   return p.euid != kRootUid && p.euid != dir.uid && p.euid != victim.uid;
 }
 
+/// A program's exec child: its parent's credentials, cwd, umask and env.
+Process child_of(const Process& parent, std::vector<std::string> args) {
+  Process c;
+  c.ppid = parent.pid;
+  c.ruid = parent.ruid;
+  c.rgid = parent.rgid;
+  c.euid = parent.euid;
+  c.egid = parent.egid;
+  c.cwd = parent.cwd;
+  c.umask = parent.umask;
+  c.env = parent.env;
+  c.args = std::move(args);
+  return c;
+}
+
 }  // namespace
 
 Kernel::Kernel() {
@@ -80,14 +95,6 @@ void Kernel::add_interposer(std::shared_ptr<Interposer> hook) {
 
 void Kernel::clear_interposers() { run_.hooks.clear(); }
 
-void Kernel::dispatch_before(SyscallCtx& ctx) {
-  for (auto& h : run_.hooks) h->before(*this, ctx);
-}
-
-void Kernel::dispatch_after(SyscallCtx& ctx, Err result) {
-  for (auto& h : run_.hooks) h->after(*this, ctx, result);
-}
-
 bool Kernel::ancestor_untrusted(Ino ino) const {
   // An untrusted directory taints everything below it (the paper's
   // profile-directory trustability case): walk the parent links to the
@@ -97,10 +104,14 @@ bool Kernel::ancestor_untrusted(Ino ino) const {
   return false;
 }
 
-void Kernel::describe_object(SyscallCtx& ctx, Ino ino) const {
+void Kernel::describe_object(SyscallCtx& ctx, Ino ino,
+                             std::string_view canonical) const {
   ctx.object = ino;
   if (vfs_.exists(ino)) {
-    ctx.canonical = vfs_.canonical_path(ino);
+    if (canonical.empty())
+      ctx.canonical = vfs_.canonical_path(ino);
+    else
+      ctx.canonical = canonical;
     ctx.object_untrusted = ancestor_untrusted(ino);
     if (ctx.pid >= 0 && has_proc(ctx.pid)) {
       const Process& p = proc(ctx.pid);
@@ -132,11 +143,7 @@ SysResult<std::string> Kernel::peek(const std::string& p) const {
 SysResult<Fd> Kernel::open(const Site& site, Pid pid, const std::string& pth,
                            OpenFlags flags, unsigned create_mode) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "open";
-  ctx.path = pth;
+  SyscallCtx ctx(site, pid, "open", pth);
   // Summarize intent for hooks: perturbers and the oracle distinguish
   // read-only opens (disclosure risk) from writing/creating opens
   // (clobbering risk).
@@ -145,85 +152,87 @@ SysResult<Fd> Kernel::open(const Site& site, Pid pid, const std::string& pth,
   if (flags.has(OpenFlag::creat)) ctx.aux += "c";
   if (flags.has(OpenFlag::excl)) ctx.aux += "x";
   if (flags.has(OpenFlag::trunc)) ctx.aux += "t";
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
+  Fd fd = -1;
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    ResolvedParent cur = rp.value();
 
-  auto finish = [&](Err e) -> SysResult<Fd> {
-    dispatch_after(ctx, e);
-    return e;
-  };
-
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  if (!rp.ok()) return finish(rp.error());
-  ResolvedParent cur = rp.value();
-
-  // Follow a final-component symlink chain by hand so that O_CREAT can
-  // create *through* a dangling link (the classic spool-file attack) while
-  // O_EXCL and O_NOFOLLOW refuse links outright.
-  int depth = 0;
-  while (cur.leaf_ino != kNoIno && vfs_.inode(cur.leaf_ino).is_symlink()) {
-    if (flags.has(OpenFlag::nofollow)) return finish(Err::loop);
-    if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl))
-      return finish(Err::exist);
-    if (++depth > kMaxSymlinkDepth) return finish(Err::loop);
-    const std::string& target = vfs_.inode(cur.leaf_ino).content;
-    std::string base = path::dirname(cur.canonical);
-    std::string next =
-        path::is_absolute(target) ? target : path::join(base, target);
-    auto nrp = vfs_.resolve_parent(next, p.cwd, p.euid, p.egid);
-    if (!nrp.ok()) return finish(nrp.error());
-    cur = nrp.value();
-  }
-
-  // "." and ".." name directories, never a file to create.
-  if (flags.has(OpenFlag::creat) && path::is_dot_name(cur.leaf))
-    return finish(Err::isdir);
-
-  Ino file_ino = kNoIno;
-  if (cur.leaf_ino != kNoIno) {
-    if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl)) {
-      describe_object(ctx, cur.leaf_ino);
-      ctx.object_preexisting = true;
-      return finish(Err::exist);
+    // Follow a final-component symlink chain by hand so that O_CREAT can
+    // create *through* a dangling link (the classic spool-file attack)
+    // while O_EXCL and O_NOFOLLOW refuse links outright.
+    int depth = 0;
+    while (cur.leaf_ino != kNoIno && vfs_.inode(cur.leaf_ino).is_symlink()) {
+      if (flags.has(OpenFlag::nofollow)) return Err::loop;
+      if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl))
+        return Err::exist;
+      if (++depth > kMaxSymlinkDepth) return Err::loop;
+      const std::string& target = vfs_.inode(cur.leaf_ino).content;
+      std::string base = path::dirname(cur.canonical);
+      std::string next =
+          path::is_absolute(target) ? target : path::join(base, target);
+      auto nrp = vfs_.resolve_parent(next, p.cwd, p.euid, p.egid);
+      if (!nrp.ok()) return nrp.error();
+      cur = nrp.value();
     }
-    const Inode& node = vfs_.inode(cur.leaf_ino);
-    if (node.is_dir() && flags.has(OpenFlag::wr)) return finish(Err::isdir);
-    if (flags.has(OpenFlag::rd) &&
-        !Vfs::permits_with_root(node, p.euid, p.egid, Perm::read))
-      return finish(Err::acces);
-    if (flags.has(OpenFlag::wr) &&
-        !Vfs::permits_with_root(node, p.euid, p.egid, Perm::write))
-      return finish(Err::acces);
-    if (flags.has(OpenFlag::trunc) && flags.has(OpenFlag::wr))
-      vfs_.mutate(cur.leaf_ino).content.clear();
-    file_ino = cur.leaf_ino;
-    ctx.object_preexisting = true;
-  } else {
-    if (!flags.has(OpenFlag::creat)) return finish(Err::noent);
-    const Inode& dir = vfs_.inode(cur.dir_ino);
-    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-      return finish(Err::acces);
-    unsigned mode = create_mode & ~p.umask & kPermMask;
-    auto created = vfs_.create_file(cur.dir_ino, cur.leaf, p.euid, p.egid, mode);
-    if (!created.ok()) return finish(created.error());
-    file_ino = created.value();
-    ctx.object_preexisting = false;
-  }
 
-  describe_object(ctx, file_ino);
-  OpenFile of;
-  of.ino = file_ino;
-  of.flags = flags;
-  of.opened_path = pth;
-  of.offset = flags.has(OpenFlag::append) ? vfs_.inode(file_ino).content.size()
-                                          : 0;
-  Fd fd = p.next_fd++;
-  p.fds[fd] = of;
-  dispatch_after(ctx, Err::ok);
-  return fd;
+    // "." and ".." name directories, never a file to create; otherwise
+    // they open the directory they name, resolved as a walk resolves them
+    // (".." of the root, or of a detached directory, is the root).
+    if (path::is_dot_name(cur.leaf)) {
+      if (flags.has(OpenFlag::creat)) return Err::isdir;
+      Ino up = vfs_.parent_of(cur.dir_ino);
+      if (cur.leaf == "..")
+        cur.leaf_ino = up == kNoIno ? vfs_.root() : up;
+      else
+        cur.leaf_ino = cur.dir_ino;
+    }
+
+    Ino file_ino = kNoIno;
+    if (cur.leaf_ino != kNoIno) {
+      if (flags.has(OpenFlag::creat) && flags.has(OpenFlag::excl)) {
+        describe_object(ctx, cur.leaf_ino);
+        ctx.object_preexisting = true;
+        return Err::exist;
+      }
+      const Inode& node = vfs_.inode(cur.leaf_ino);
+      if (node.is_dir() && flags.has(OpenFlag::wr)) return Err::isdir;
+      if (flags.has(OpenFlag::rd) &&
+          !Vfs::permits_with_root(node, p.euid, p.egid, Perm::read))
+        return Err::acces;
+      if (flags.has(OpenFlag::wr) &&
+          !Vfs::permits_with_root(node, p.euid, p.egid, Perm::write))
+        return Err::acces;
+      if (flags.has(OpenFlag::trunc) && flags.has(OpenFlag::wr))
+        vfs_.mutate(cur.leaf_ino).content.clear();
+      file_ino = cur.leaf_ino;
+      ctx.object_preexisting = true;
+    } else {
+      if (!flags.has(OpenFlag::creat)) return Err::noent;
+      const Inode& dir = vfs_.inode(cur.dir_ino);
+      if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+        return Err::acces;
+      unsigned mode = create_mode & ~p.umask & kPermMask;
+      auto created =
+          vfs_.create_file(cur.dir_ino, cur.leaf, p.euid, p.egid, mode);
+      if (!created.ok()) return created.error();
+      file_ino = created.value();
+      ctx.object_preexisting = false;
+    }
+
+    describe_object(ctx, file_ino);
+    OpenFile of;
+    of.ino = file_ino;
+    of.flags = flags;
+    of.opened_path = pth;
+    of.offset = flags.has(OpenFlag::append)
+                    ? vfs_.inode(file_ino).content.size()
+                    : 0;
+    fd = p.next_fd++;
+    p.fds[fd] = of;
+    return Err::ok;
+  });
+  return result_of(e, fd);
 }
 
 SysStatus Kernel::close(Pid pid, Fd fd) {
@@ -241,36 +250,28 @@ SysResult<std::string> Kernel::read(const Site& site, Pid pid, Fd fd,
   if (!of.flags.has(OpenFlag::rd)) return Err::badf;
   if (!vfs_.exists(of.ino)) return Err::io;
 
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "read";
-  ctx.path = of.opened_path;
+  SyscallCtx ctx(site, pid, "read", of.opened_path);
   ctx.has_input = true;
   describe_object(ctx, of.ino);
   ctx.object_preexisting = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  check_inode_redzone(site, pid, of.ino);
-
-  // Fetched only after the hooks ran: a perturber may have rewritten the
-  // node, and under copy-on-write a reference taken earlier could still
-  // point at the shared pre-perturbation copy.
-  const Inode& node = vfs_.inode(of.ino);
-  std::string chunk;
-  if (of.offset < node.content.size()) {
-    std::size_t take = n == std::string::npos
-                           ? node.content.size() - of.offset
-                           : std::min(n, node.content.size() - of.offset);
-    chunk = node.content.substr(of.offset, take);
-    of.offset += take;
-  }
-  ctx.data = chunk;
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [&](SyscallCtx& ctx) {
+    check_inode_redzone(site, pid, of.ino);
+    // Fetched only after the before-hooks ran: a perturber may have
+    // rewritten the node, and under copy-on-write a reference taken
+    // earlier could still point at the shared pre-perturbation copy.
+    const Inode& node = vfs_.inode(of.ino);
+    std::string chunk;
+    if (of.offset < node.content.size()) {
+      std::size_t take = n == std::string::npos
+                             ? node.content.size() - of.offset
+                             : std::min(n, node.content.size() - of.offset);
+      chunk = node.content.substr(of.offset, take);
+      of.offset += take;
+    }
+    ctx.data = std::move(chunk);
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
   return ctx.data;  // possibly rewritten by an indirect fault
 }
 
@@ -283,43 +284,34 @@ SysResult<std::string> Kernel::read_line(const Site& site, Pid pid, Fd fd) {
   if (!vfs_.exists(of.ino)) return Err::io;
   if (of.offset >= vfs_.inode(of.ino).content.size()) return Err::io;  // EOF
 
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "read";
-  ctx.path = of.opened_path;
+  SyscallCtx ctx(site, pid, "read", of.opened_path);
   ctx.has_input = true;
   describe_object(ctx, of.ino);
   ctx.object_preexisting = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  check_inode_redzone(site, pid, of.ino);
-
-  // Re-fetched after the hooks: see read() — a stale reference would miss
-  // a content perturbation under copy-on-write.
-  const Inode& node = vfs_.inode(of.ino);
-  if (of.offset >= node.content.size()) {
-    // A hook shrank the file below our offset: EOF, like read()'s guard.
-    of.offset = node.content.size();
-    dispatch_after(ctx, Err::io);
-    return Err::io;
-  }
-  std::size_t nl = node.content.find('\n', of.offset);
-  std::string line;
-  if (nl == std::string::npos) {
-    line = node.content.substr(of.offset);
-    of.offset = node.content.size();
-  } else {
-    line = node.content.substr(of.offset, nl - of.offset);
-    of.offset = nl + 1;
-  }
-  ctx.data = line;
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
-  return ctx.data;
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    check_inode_redzone(site, pid, of.ino);
+    // Re-fetched after the before-hooks: see read() — a stale reference
+    // would miss a content perturbation under copy-on-write.
+    const Inode& node = vfs_.inode(of.ino);
+    if (of.offset >= node.content.size()) {
+      // A hook shrank the file below our offset: EOF, like the guard above.
+      of.offset = node.content.size();
+      return Err::io;
+    }
+    std::size_t nl = node.content.find('\n', of.offset);
+    std::string line;
+    if (nl == std::string::npos) {
+      line = node.content.substr(of.offset);
+      of.offset = node.content.size();
+    } else {
+      line = node.content.substr(of.offset, nl - of.offset);
+      of.offset = nl + 1;
+    }
+    ctx.data = std::move(line);
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
+  return result_of(e, std::move(ctx.data));
 }
 
 SysResult<std::size_t> Kernel::write(const Site& site, Pid pid, Fd fd,
@@ -331,28 +323,20 @@ SysResult<std::size_t> Kernel::write(const Site& site, Pid pid, Fd fd,
   if (!of.flags.has(OpenFlag::wr)) return Err::badf;
   if (!vfs_.exists(of.ino)) return Err::io;
 
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "write";
-  ctx.path = of.opened_path;
+  SyscallCtx ctx(site, pid, "write", of.opened_path);
   describe_object(ctx, of.ino);
   ctx.object_preexisting = true;  // refined by the oracle's created-set
   ctx.data = std::string(data);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  check_inode_redzone(site, pid, of.ino);
-
-  Inode& node = vfs_.mutate(of.ino);
-  if (of.flags.has(OpenFlag::append)) of.offset = node.content.size();
-  if (node.content.size() < of.offset + data.size())
-    node.content.resize(of.offset + data.size());
-  node.content.replace(of.offset, data.size(), std::string(data));
-  of.offset += data.size();
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [&](SyscallCtx&) {
+    check_inode_redzone(site, pid, of.ino);
+    Inode& node = vfs_.mutate(of.ino);
+    if (of.flags.has(OpenFlag::append)) of.offset = node.content.size();
+    if (node.content.size() < of.offset + data.size())
+      node.content.resize(of.offset + data.size());
+    node.content.replace(of.offset, data.size(), std::string(data));
+    of.offset += data.size();
+    return Err::ok;
+  });
   return data.size();
 }
 
@@ -360,52 +344,29 @@ SysResult<std::size_t> Kernel::write(const Site& site, Pid pid, Fd fd,
 
 SysResult<StatInfo> Kernel::stat(const Site& site, Pid pid,
                                  const std::string& pth) {
-  Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "stat";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  auto s = vfs_.stat_inode(r.value());
-  dispatch_after(ctx, Err::ok);
-  return s;
+  return stat_call(site, pid, pth, "stat", /*follow_final=*/true);
 }
 
 SysResult<StatInfo> Kernel::lstat(const Site& site, Pid pid,
                                   const std::string& pth) {
+  return stat_call(site, pid, pth, "lstat", /*follow_final=*/false);
+}
+
+SysResult<StatInfo> Kernel::stat_call(const Site& site, Pid pid,
+                                      const std::string& pth,
+                                      const char* call, bool follow_final) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "lstat";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/false);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  auto s = vfs_.stat_inode(r.value());
-  dispatch_after(ctx, Err::ok);
-  return s;
+  SyscallCtx ctx(site, pid, call, pth);
+  StatInfo st;
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, follow_final);
+    if (!r.ok()) return r.error();
+    describe_object(ctx, r.value());
+    ctx.object_preexisting = true;
+    st = vfs_.stat_inode(r.value()).value();
+    return Err::ok;
+  });
+  return result_of(e, st);
 }
 
 SysResult<StatInfo> Kernel::fstat(Pid pid, Fd fd) {
@@ -418,31 +379,19 @@ SysResult<StatInfo> Kernel::fstat(Pid pid, Fd fd) {
 SysStatus Kernel::access(const Site& site, Pid pid, const std::string& pth,
                          Perm perm) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "access";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  // access(2) answers for the *real* uid — the check set-uid programs use
-  // to ask "could my invoker do this?", and the check half of TOCTTOU.
-  auto r = vfs_.resolve(pth, p.cwd, p.ruid, p.rgid, /*follow_final=*/true);
-  Err e = Err::ok;
-  if (!r.ok()) {
-    e = r.error();
-  } else {
+  SyscallCtx ctx(site, pid, "access", pth);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    // access(2) answers for the *real* uid — the check set-uid programs
+    // use to ask "could my invoker do this?", and the check half of
+    // TOCTTOU.
+    auto r = vfs_.resolve(pth, p.cwd, p.ruid, p.rgid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
     describe_object(ctx, r.value());
     ctx.object_preexisting = true;
     if (!Vfs::permits_with_root(vfs_.inode(r.value()), p.ruid, p.rgid, perm))
-      e = Err::acces;
-  }
-  dispatch_after(ctx, e);
-  if (e != Err::ok) return e;
-  return ok_status();
+      return Err::acces;
+    return Err::ok;
+  }));
 }
 
 // --- namespace operations ---------------------------------------------------
@@ -450,337 +399,210 @@ SysStatus Kernel::access(const Site& site, Pid pid, const std::string& pth,
 SysStatus Kernel::mkdir(const Site& site, Pid pid, const std::string& pth,
                         unsigned mode) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "mkdir";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino != kNoIno || path::is_dot_name(rp.value().leaf))
-    return finish(Err::exist);
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  auto made = vfs_.create_dir(rp.value().dir_ino, rp.value().leaf, p.euid,
-                              p.egid, mode & ~p.umask & kPermMask);
-  if (!made.ok()) return finish(made.error());
-  describe_object(ctx, made.value());
-  ctx.object_preexisting = false;
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "mkdir", pth);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    if (rp.value().leaf_ino != kNoIno || path::is_dot_name(rp.value().leaf))
+      return Err::exist;
+    const Inode& dir = vfs_.inode(rp.value().dir_ino);
+    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    auto made = vfs_.create_dir(rp.value().dir_ino, rp.value().leaf, p.euid,
+                                p.egid, mode & ~p.umask & kPermMask);
+    if (!made.ok()) return made.error();
+    describe_object(ctx, made.value());
+    ctx.object_preexisting = false;
+    return Err::ok;
+  }));
 }
 
 SysStatus Kernel::rmdir(const Site& site, Pid pid, const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "rmdir";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  if (!rp.ok()) return finish(rp.error());
-  // As rmdir(2): "." is an invalid argument, ".." is never empty.
-  if (rp.value().leaf == ".") return finish(Err::inval);
-  if (rp.value().leaf == "..") return finish(Err::notempty);
-  if (rp.value().leaf_ino == kNoIno) return finish(Err::noent);
-  describe_object(ctx, rp.value().leaf_ino);
-  ctx.object_preexisting = true;
-  ctx.canonical = rp.value().canonical;
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  if (sticky_denies(p, dir, vfs_.inode(rp.value().leaf_ino)))
-    return finish(Err::perm);
-  auto r = vfs_.remove_dir(rp.value().dir_ino, rp.value().leaf);
-  return finish(r.ok() ? Err::ok : r.error());
+  SyscallCtx ctx(site, pid, "rmdir", pth);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    // As rmdir(2): "." is an invalid argument, ".." is never empty.
+    if (rp.value().leaf == ".") return Err::inval;
+    if (rp.value().leaf == "..") return Err::notempty;
+    if (rp.value().leaf_ino == kNoIno) return Err::noent;
+    describe_object(ctx, rp.value().leaf_ino, rp.value().canonical);
+    ctx.object_preexisting = true;
+    const Inode& dir = vfs_.inode(rp.value().dir_ino);
+    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    if (sticky_denies(p, dir, vfs_.inode(rp.value().leaf_ino)))
+      return Err::perm;
+    return vfs_.remove_dir(rp.value().dir_ino, rp.value().leaf).error();
+  }));
 }
-
 
 SysStatus Kernel::unlink(const Site& site, Pid pid, const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "unlink";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  if (!rp.ok()) return finish(rp.error());
-  if (path::is_dot_name(rp.value().leaf)) return finish(Err::isdir);
-  if (rp.value().leaf_ino == kNoIno) return finish(Err::noent);
-  describe_object(ctx, rp.value().leaf_ino);
-  ctx.object_preexisting = true;
-  ctx.canonical = rp.value().canonical;
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  if (sticky_denies(p, dir, vfs_.inode(rp.value().leaf_ino)))
-    return finish(Err::perm);
-  auto r = vfs_.remove(rp.value().dir_ino, rp.value().leaf);
-  return finish(r.ok() ? Err::ok : r.error());
+  SyscallCtx ctx(site, pid, "unlink", pth);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto rp = vfs_.resolve_parent(pth, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    if (path::is_dot_name(rp.value().leaf)) return Err::isdir;
+    if (rp.value().leaf_ino == kNoIno) return Err::noent;
+    describe_object(ctx, rp.value().leaf_ino, rp.value().canonical);
+    ctx.object_preexisting = true;
+    const Inode& dir = vfs_.inode(rp.value().dir_ino);
+    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    if (sticky_denies(p, dir, vfs_.inode(rp.value().leaf_ino)))
+      return Err::perm;
+    return vfs_.remove(rp.value().dir_ino, rp.value().leaf).error();
+  }));
 }
 
 SysStatus Kernel::rename(const Site& site, Pid pid, const std::string& from,
                          const std::string& to) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "rename";
-  ctx.path = from;
+  SyscallCtx ctx(site, pid, "rename", from);
   ctx.aux = to;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto rf = vfs_.resolve_parent(from, p.cwd, p.euid, p.egid);
-  if (!rf.ok()) return finish(rf.error());
-  if (path::is_dot_name(rf.value().leaf)) return finish(Err::inval);
-  if (rf.value().leaf_ino == kNoIno) return finish(Err::noent);
-  auto rt = vfs_.resolve_parent(to, p.cwd, p.euid, p.egid);
-  if (!rt.ok()) return finish(rt.error());
-  if (path::is_dot_name(rt.value().leaf)) return finish(Err::inval);
-  const Inode& fdir = vfs_.inode(rf.value().dir_ino);
-  const Inode& tdir = vfs_.inode(rt.value().dir_ino);
-  if (!Vfs::permits_with_root(fdir, p.euid, p.egid, Perm::write) ||
-      !Vfs::permits_with_root(tdir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  if (sticky_denies(p, fdir, vfs_.inode(rf.value().leaf_ino)))
-    return finish(Err::perm);
-  if (rt.value().leaf_ino != kNoIno &&
-      sticky_denies(p, tdir, vfs_.inode(rt.value().leaf_ino)))
-    return finish(Err::perm);
-  describe_object(ctx, rf.value().leaf_ino);
-  ctx.object_preexisting = rt.value().leaf_ino != kNoIno;
-  ctx.canonical = rt.value().canonical;
-  auto r = vfs_.rename_entry(rf.value().dir_ino, rf.value().leaf,
-                             rt.value().dir_ino, rt.value().leaf);
-  return finish(r.ok() ? Err::ok : r.error());
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto rf = vfs_.resolve_parent(from, p.cwd, p.euid, p.egid);
+    if (!rf.ok()) return rf.error();
+    if (path::is_dot_name(rf.value().leaf)) return Err::inval;
+    if (rf.value().leaf_ino == kNoIno) return Err::noent;
+    auto rt = vfs_.resolve_parent(to, p.cwd, p.euid, p.egid);
+    if (!rt.ok()) return rt.error();
+    if (path::is_dot_name(rt.value().leaf)) return Err::inval;
+    const Inode& fdir = vfs_.inode(rf.value().dir_ino);
+    const Inode& tdir = vfs_.inode(rt.value().dir_ino);
+    if (!Vfs::permits_with_root(fdir, p.euid, p.egid, Perm::write) ||
+        !Vfs::permits_with_root(tdir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    if (sticky_denies(p, fdir, vfs_.inode(rf.value().leaf_ino)))
+      return Err::perm;
+    if (rt.value().leaf_ino != kNoIno &&
+        sticky_denies(p, tdir, vfs_.inode(rt.value().leaf_ino)))
+      return Err::perm;
+    // Named by its destination: where the program is putting it.
+    describe_object(ctx, rf.value().leaf_ino, rt.value().canonical);
+    ctx.object_preexisting = rt.value().leaf_ino != kNoIno;
+    return vfs_
+        .rename_entry(rf.value().dir_ino, rf.value().leaf, rt.value().dir_ino,
+                      rt.value().leaf)
+        .error();
+  }));
 }
 
 SysStatus Kernel::symlink(const Site& site, Pid pid, const std::string& target,
                           const std::string& linkpath) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "symlink";
-  ctx.path = linkpath;
+  SyscallCtx ctx(site, pid, "symlink", linkpath);
   ctx.aux = target;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto rp = vfs_.resolve_parent(linkpath, p.cwd, p.euid, p.egid);
-  if (!rp.ok()) return finish(rp.error());
-  if (rp.value().leaf_ino != kNoIno || path::is_dot_name(rp.value().leaf))
-    return finish(Err::exist);
-  const Inode& dir = vfs_.inode(rp.value().dir_ino);
-  if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
-    return finish(Err::acces);
-  auto made = vfs_.create_symlink(rp.value().dir_ino, rp.value().leaf, p.euid,
-                                  p.egid, target);
-  if (!made.ok()) return finish(made.error());
-  describe_object(ctx, made.value());
-  return finish(Err::ok);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto rp = vfs_.resolve_parent(linkpath, p.cwd, p.euid, p.egid);
+    if (!rp.ok()) return rp.error();
+    if (rp.value().leaf_ino != kNoIno || path::is_dot_name(rp.value().leaf))
+      return Err::exist;
+    const Inode& dir = vfs_.inode(rp.value().dir_ino);
+    if (!Vfs::permits_with_root(dir, p.euid, p.egid, Perm::write))
+      return Err::acces;
+    auto made = vfs_.create_symlink(rp.value().dir_ino, rp.value().leaf,
+                                    p.euid, p.egid, target);
+    if (!made.ok()) return made.error();
+    describe_object(ctx, made.value());
+    return Err::ok;
+  }));
 }
 
 SysResult<std::string> Kernel::readlink(const Site& site, Pid pid,
                                         const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "readlink";
-  ctx.path = pth;
+  SyscallCtx ctx(site, pid, "readlink", pth);
   ctx.has_input = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/false);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  const Inode& n = vfs_.inode(r.value());
-  if (!n.is_symlink()) {
-    dispatch_after(ctx, Err::inval);
-    return Err::inval;
-  }
-  describe_object(ctx, r.value());
-  ctx.data = n.content;
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
-  return ctx.data;
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/false);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    if (!n.is_symlink()) return Err::inval;
+    describe_object(ctx, r.value());
+    ctx.data = n.content;
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
+  return result_of(e, std::move(ctx.data));
 }
 
 SysResult<std::vector<std::string>> Kernel::readdir(const Site& site, Pid pid,
                                                     const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "readdir";
-  ctx.path = pth;
+  SyscallCtx ctx(site, pid, "readdir", pth);
   ctx.has_input = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) {
-    dispatch_after(ctx, r.error());
-    return r.error();
-  }
-  const Inode& n = vfs_.inode(r.value());
-  if (!n.is_dir()) {
-    dispatch_after(ctx, Err::notdir);
-    return Err::notdir;
-  }
-  if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::read)) {
-    dispatch_after(ctx, Err::acces);
-    return Err::acces;
-  }
-  describe_object(ctx, r.value());
-  std::vector<std::string> names;
-  names.reserve(n.entries.size());
-  for (const auto& [name, child] : n.entries) names.push_back(name);
-  // Deliver the listing through ctx.data (newline-joined) so indirect
-  // faults can rewrite it like any other input.
-  ctx.data = ep::join(names, "\n");
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    if (!n.is_dir()) return Err::notdir;
+    if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::read))
+      return Err::acces;
+    describe_object(ctx, r.value());
+    std::vector<std::string> names;
+    names.reserve(n.entries.size());
+    for (const auto& [name, child] : n.entries) names.push_back(name);
+    // Deliver the listing through ctx.data (newline-joined) so indirect
+    // faults can rewrite it like any other input.
+    ctx.data = ep::join(names, "\n");
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
+  if (e != Err::ok) return e;
   return ep::split_nonempty(ctx.data, '\n');
 }
 
 SysStatus Kernel::chmod(const Site& site, Pid pid, const std::string& pth,
                         unsigned mode) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "chmod";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) return finish(r.error());
-  const Inode& n = vfs_.inode(r.value());
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  if (p.euid != kRootUid && p.euid != n.uid) return finish(Err::perm);
-  vfs_.mutate(r.value()).mode = mode & (kPermMask | kSetUidBit | kStickyBit);
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "chmod", pth);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    describe_object(ctx, r.value());
+    ctx.object_preexisting = true;
+    if (p.euid != kRootUid && p.euid != n.uid) return Err::perm;
+    vfs_.mutate(r.value()).mode = mode & (kPermMask | kSetUidBit | kStickyBit);
+    return Err::ok;
+  }));
 }
 
 SysStatus Kernel::chown(const Site& site, Pid pid, const std::string& pth,
                         Uid uid, Gid gid) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "chown";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) return finish(r.error());
-  // Classic UNIX: only root may give files away.
-  if (p.euid != kRootUid) return finish(Err::perm);
-  describe_object(ctx, r.value());
-  ctx.object_preexisting = true;
-  Inode& n = vfs_.mutate(r.value());
-  n.uid = uid;
-  n.gid = gid;
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "chown", pth);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    // Classic UNIX: only root may give files away.
+    if (p.euid != kRootUid) return Err::perm;
+    describe_object(ctx, r.value());
+    ctx.object_preexisting = true;
+    Inode& n = vfs_.mutate(r.value());
+    n.uid = uid;
+    n.gid = gid;
+    return Err::ok;
+  }));
 }
 
 SysStatus Kernel::chdir(const Site& site, Pid pid, const std::string& pth) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "chdir";
-  ctx.path = pth;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto finish = [&](Err e) -> SysStatus {
-    dispatch_after(ctx, e);
-    if (e != Err::ok) return e;
-    return ok_status();
-  };
-  auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
-  if (!r.ok()) return finish(r.error());
-  const Inode& n = vfs_.inode(r.value());
-  if (!n.is_dir()) return finish(Err::notdir);
-  if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::exec))
-    return finish(Err::acces);
-  describe_object(ctx, r.value());
-  p.cwd = vfs_.canonical_path(r.value());
-  return finish(Err::ok);
+  SyscallCtx ctx(site, pid, "chdir", pth);
+  return status_of(interact(ctx, [&](SyscallCtx& ctx) {
+    auto r = vfs_.resolve(pth, p.cwd, p.euid, p.egid, /*follow_final=*/true);
+    if (!r.ok()) return r.error();
+    const Inode& n = vfs_.inode(r.value());
+    if (!n.is_dir()) return Err::notdir;
+    if (!Vfs::permits_with_root(n, p.euid, p.egid, Perm::exec))
+      return Err::acces;
+    describe_object(ctx, r.value());
+    p.cwd = ctx.canonical;
+    return Err::ok;
+  }));
 }
 
 std::string Kernel::getcwd(Pid pid) const { return proc(pid).cwd; }
@@ -790,40 +612,29 @@ std::string Kernel::getcwd(Pid pid) const { return proc(pid).cwd; }
 SysResult<std::string> Kernel::getenv(const Site& site, Pid pid,
                                       const std::string& name) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "getenv";
+  SyscallCtx ctx(site, pid, "getenv");
   ctx.aux = name;
   ctx.has_input = true;
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto it = p.env.find(name);
-  bool found = it != p.env.end();
-  ctx.data = found ? it->second : std::string{};
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, found ? Err::ok : Err::noent);
-  // An injected value can materialize a variable the OS never set — the
-  // "initialization the programmer never sees" case from Section 2.3.1.
-  if (!found && ctx.data.empty()) return Err::noent;
-  return ctx.data;
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    auto it = p.env.find(name);
+    bool found = it != p.env.end();
+    ctx.data = found ? it->second : std::string{};
+    ctx.input = &ctx.data;
+    return found ? Err::ok : Err::noent;
+  });
+  return delivered_input(e, ctx);
 }
 
 std::string Kernel::arg(const Site& site, Pid pid, std::size_t idx) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "arg";
+  SyscallCtx ctx(site, pid, "arg");
   ctx.aux = std::to_string(idx);
   ctx.has_input = true;
-  dispatch_before(ctx);
-  ctx.data = idx < p.args.size() ? p.args[idx] : std::string{};
-  ctx.input = &ctx.data;
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [&](SyscallCtx& ctx) {
+    ctx.data = idx < p.args.size() ? p.args[idx] : std::string{};
+    ctx.input = &ctx.data;
+    return Err::ok;
+  });
   return ctx.data;
 }
 
@@ -831,27 +642,18 @@ std::size_t Kernel::argc(Pid pid) const { return proc(pid).args.size(); }
 
 void Kernel::output(const Site& site, Pid pid, std::string_view text) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "output";
+  SyscallCtx ctx(site, pid, "output");
   ctx.data = std::string(text);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return;
-  }
-  p.stdout_text += text;
-  p.stdout_text += '\n';
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [&](SyscallCtx&) {
+    p.stdout_text += text;
+    p.stdout_text += '\n';
+    return Err::ok;
+  });
 }
 
 void Kernel::app_fault(const Site& site, Pid pid, AppFault kind,
                        const std::string& detail) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "app_fault";
+  SyscallCtx ctx(site, pid, "app_fault");
   switch (kind) {
     case AppFault::buffer_overflow: ctx.aux = "buffer_overflow"; break;
     case AppFault::crash: ctx.aux = "crash"; break;
@@ -859,8 +661,7 @@ void Kernel::app_fault(const Site& site, Pid pid, AppFault kind,
     case AppFault::redzone_corruption: ctx.aux = "redzone_corruption"; break;
   }
   ctx.data = detail;
-  dispatch_before(ctx);
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [](SyscallCtx&) { return Err::ok; });
 }
 
 // --- redzone memory oracle --------------------------------------------------
@@ -891,19 +692,13 @@ void Kernel::report_redzone_corruption(const Site& site, Pid pid,
   // downstream) independent of how often a region happens to be re-read.
   if (!run_.redzone_reported.insert(object).second) return;
   std::size_t n = redzone::clobbered_prefix(zone);
-  std::string detail =
-      n > 0 ? std::to_string(n) + " byte(s) of poison overwritten past " +
-                  object
-            : "guard region damaged past " + object;
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "app_fault";
+  // ctx.path is the oracle's per-object dedup key.
+  SyscallCtx ctx(site, pid, "app_fault", object);
   ctx.aux = "redzone_corruption";
-  ctx.path = object;  // the oracle's per-object dedup key
-  ctx.data = detail;
-  dispatch_before(ctx);
-  dispatch_after(ctx, Err::ok);
+  ctx.data = n > 0 ? std::to_string(n) +
+                         " byte(s) of poison overwritten past " + object
+                   : "guard region damaged past " + object;
+  interact(ctx, [](SyscallCtx&) { return Err::ok; });
 }
 
 void Kernel::check_inode_redzone(const Site& site, Pid pid, Ino ino) {
@@ -936,14 +731,10 @@ void Kernel::validate_redzones() {
 void Kernel::privileged_action(const Site& site, Pid pid,
                                const std::string& what,
                                bool believes_authorized) {
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "privileged_action";
+  SyscallCtx ctx(site, pid, "privileged_action");
   ctx.aux = what;
   ctx.data = believes_authorized ? "authorized" : "unauthorized";
-  dispatch_before(ctx);
-  dispatch_after(ctx, Err::ok);
+  interact(ctx, [](SyscallCtx&) { return Err::ok; });
 }
 
 // --- exec -------------------------------------------------------------------
@@ -971,32 +762,21 @@ SysResult<Kernel::ExecTarget> Kernel::resolve_exec_target(
   return Err::noent;
 }
 
-SysResult<int> Kernel::run_image(const Site& site, Pid parent,
-                                 ExecTarget target,
-                                 std::vector<std::string> args,
-                                 const std::string& invoked_as) {
-  Process& p = proc(parent);
+SysResult<int> Kernel::launch(Process child, ExecTarget target,
+                              const Site& crash_site,
+                              const std::string& invoked_as, bool nested) {
   const Inode& node = vfs_.inode(target.ino);
   if (!node.is_regular()) return Err::acces;
-  if (!Vfs::permits_with_root(node, p.euid, p.egid, Perm::exec))
+  if (!Vfs::permits_with_root(node, child.euid, child.egid, Perm::exec))
     return Err::acces;
   if (node.image.empty() || !images_.count(node.image)) return Err::noexec;
-  if (exec_depth_ > 16) return Err::again;
+  if (nested && exec_depth_ > 16) return Err::again;
 
   Pid cpid = next_pid_++;
-  Process c;
-  c.pid = cpid;
-  c.ppid = parent;
-  c.ruid = p.ruid;
-  c.rgid = p.rgid;
-  c.euid = node.setuid() ? node.uid : p.euid;
-  c.egid = p.egid;
-  c.cwd = p.cwd;
-  c.umask = p.umask;
-  c.env = p.env;
-  c.args = std::move(args);
-  c.exe = target.canonical;
-  procs_[cpid] = std::move(c);
+  child.pid = cpid;
+  if (node.setuid()) child.euid = node.uid;
+  child.exe = std::move(target.canonical);
+  procs_[cpid] = std::move(child);
 
   AppImage image = images_.at(node.image);
   int code = 0;
@@ -1006,7 +786,7 @@ SysResult<int> Kernel::run_image(const Site& site, Pid parent,
   } catch (const AppCrash& crash) {
     code = crash.code;
     procs_.at(cpid).crashed = true;
-    app_fault(site, cpid, AppFault::crash,
+    app_fault(crash_site, cpid, AppFault::crash,
               invoked_as + ": " + crash.reason);
   }
   --exec_depth_;
@@ -1019,27 +799,20 @@ SysResult<int> Kernel::exec(const Site& site, Pid pid,
                             const std::string& command,
                             std::vector<std::string> args) {
   Process& p = proc(pid);
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "exec";
-  ctx.path = command;
+  SyscallCtx ctx(site, pid, "exec", command);
   ctx.aux = summarize_args(args);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  auto target = resolve_exec_target(p, command);
-  if (!target.ok()) {
-    dispatch_after(ctx, target.error());
-    return target.error();
-  }
-  describe_object(ctx, target.value().ino);
-  ctx.object_preexisting = true;
-  auto r = run_image(site, pid, target.value(), std::move(args), command);
-  dispatch_after(ctx, r.ok() ? Err::ok : r.error());
-  return r;
+  int code = 0;
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    auto target = resolve_exec_target(p, command);
+    if (!target.ok()) return target.error();
+    describe_object(ctx, target.value().ino);
+    ctx.object_preexisting = true;
+    auto r = launch(child_of(p, std::move(args)), std::move(target).value(),
+                    site, command, /*nested=*/true);
+    if (r.ok()) code = r.value();
+    return r.error();
+  });
+  return result_of(e, code);
 }
 
 SysResult<int> Kernel::fexec(const Site& site, Pid pid, Fd fd,
@@ -1047,31 +820,22 @@ SysResult<int> Kernel::fexec(const Site& site, Pid pid, Fd fd,
   Process& p = proc(pid);
   auto it = p.fds.find(fd);
   if (it == p.fds.end()) return Err::badf;
-  SyscallCtx ctx;
-  ctx.site = site;
-  ctx.pid = pid;
-  ctx.call = "exec";
-  ctx.path = it->second.opened_path;
+  const OpenFile& of = it->second;
+  SyscallCtx ctx(site, pid, "exec", of.opened_path);
   ctx.aux = summarize_args(args);
-  dispatch_before(ctx);
-  if (ctx.force_fail) {
-    dispatch_after(ctx, ctx.forced_error);
-    return ctx.forced_error;
-  }
-  // Note: perturbations that rewired the *path* between the program's
-  // check and this exec do not bite — the descriptor pins the inode.
-  if (!vfs_.exists(it->second.ino)) {
-    dispatch_after(ctx, Err::io);
-    return Err::io;
-  }
-  ExecTarget t;
-  t.ino = it->second.ino;
-  t.canonical = vfs_.canonical_path(t.ino);
-  describe_object(ctx, t.ino);
-  ctx.object_preexisting = true;
-  auto r = run_image(site, pid, t, std::move(args), it->second.opened_path);
-  dispatch_after(ctx, r.ok() ? Err::ok : r.error());
-  return r;
+  int code = 0;
+  Err e = interact(ctx, [&](SyscallCtx& ctx) {
+    // Note: perturbations that rewired the *path* between the program's
+    // check and this exec do not bite — the descriptor pins the inode.
+    if (!vfs_.exists(of.ino)) return Err::io;
+    describe_object(ctx, of.ino);
+    ctx.object_preexisting = true;
+    auto r = launch(child_of(p, std::move(args)), {of.ino, ctx.canonical},
+                    site, of.opened_path, /*nested=*/true);
+    if (r.ok()) code = r.value();
+    return r.error();
+  });
+  return result_of(e, code);
 }
 
 SysResult<int> Kernel::spawn(const std::string& exe_path,
@@ -1082,42 +846,16 @@ SysResult<int> Kernel::spawn(const std::string& exe_path,
   // program with its environment, so no hooks fire here.
   auto r = vfs_.resolve(exe_path, cwd, ruid, rgid, /*follow_final=*/true);
   if (!r.ok()) return r.error();
-  const Inode& node = vfs_.inode(r.value());
-  if (!node.is_regular()) return Err::acces;
-  if (!Vfs::permits_with_root(node, ruid, rgid, Perm::exec)) return Err::acces;
-  if (node.image.empty() || !images_.count(node.image)) return Err::noexec;
-
   if (env.find("PATH") == env.end()) env["PATH"] = "/bin:/usr/bin";
-
-  Pid cpid = next_pid_++;
   Process c;
-  c.pid = cpid;
   c.ppid = 0;
-  c.ruid = ruid;
-  c.rgid = rgid;
-  c.euid = node.setuid() ? node.uid : ruid;
-  c.egid = rgid;
+  c.ruid = c.euid = ruid;
+  c.rgid = c.egid = rgid;
   c.cwd = std::move(cwd);
   c.env = std::move(env);
   c.args = std::move(args);
-  c.exe = vfs_.canonical_path(r.value());
-  procs_[cpid] = std::move(c);
-
-  AppImage image = images_.at(node.image);
-  int code = 0;
-  ++exec_depth_;
-  try {
-    code = image(*this, cpid);
-  } catch (const AppCrash& crash) {
-    code = crash.code;
-    procs_.at(cpid).crashed = true;
-    app_fault(Site{"kernel", 0, "spawn-crash"}, cpid, AppFault::crash,
-              exe_path + ": " + crash.reason);
-  }
-  --exec_depth_;
-  procs_.at(cpid).exit_code = code;
-  console_ += procs_.at(cpid).stdout_text;
-  return code;
+  return launch(std::move(c), {r.value(), vfs_.canonical_path(r.value())},
+                Site{"kernel", 0, "spawn-crash"}, exe_path, /*nested=*/false);
 }
 
 }  // namespace ep::os

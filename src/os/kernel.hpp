@@ -212,10 +212,22 @@ class Kernel {
   [[nodiscard]] std::size_t interposer_count() const {
     return run_.hooks.size();
   }
-  /// Exposed so sibling substrates (network, registry) can route their
-  /// interactions through the same chain.
-  void dispatch_before(SyscallCtx& ctx);
-  void dispatch_after(SyscallCtx& ctx, Err result);
+
+  /// The interaction envelope, the only place the chain is walked: every
+  /// before-hook, then `body(ctx)` — the call's real work, which fills
+  /// ctx's object fields and returns the call's Err — then every
+  /// after-hook exactly once with that Err, which it returns. Checks a
+  /// call makes before its envelope (a bad fd, an unknown socket) produce
+  /// no hook event. Sibling substrates (network, registry) route their
+  /// interactions through it too. A template so the body inlines: this
+  /// is every simulated syscall's hot path.
+  template <typename Body>
+  Err interact(SyscallCtx& ctx, Body&& body) {
+    for (auto& h : run_.hooks) h->before(*this, ctx);
+    Err e = body(ctx);
+    for (auto& h : run_.hooks) h->after(*this, ctx, e);
+    return e;
+  }
 
   // --- queries used by perturbers and the oracle ----------------------
   /// Would (uid,gid) pass `perm` on the object at canonical path `p`?
@@ -233,13 +245,26 @@ class Kernel {
     Ino ino = kNoIno;
     std::string canonical;
   };
-  SysResult<int> run_image(const Site& site, Pid parent, ExecTarget target,
-                           std::vector<std::string> args,
-                           const std::string& invoked_as);
+  /// The one process-launch path (spawn, exec, fexec): the exec checks
+  /// against `child`'s effective credentials, set-uid, the image run, and
+  /// a crash reported at `crash_site` as `invoked_as: reason`. `child`
+  /// arrives with its parent, credentials, cwd, umask, env and args set.
+  /// `nested` is a program's own exec, which obeys the exec-depth limit.
+  SysResult<int> launch(Process child, ExecTarget target,
+                        const Site& crash_site, const std::string& invoked_as,
+                        bool nested);
   SysResult<ExecTarget> resolve_exec_target(const Process& p,
                                             const std::string& command);
-  /// Fill ctx.canonical/object/object_untrusted from a resolved inode.
-  void describe_object(SyscallCtx& ctx, Ino ino) const;
+  /// stat and lstat: one call, `follow_final` apart.
+  SysResult<StatInfo> stat_call(const Site& site, Pid pid,
+                                const std::string& pth, const char* call,
+                                bool follow_final);
+  /// Fill ctx.canonical/object/object_untrusted from a resolved inode:
+  /// the one place ctx.canonical is written. `canonical` names the object
+  /// when the caller already holds its path (an entry it resolved, a
+  /// rename's destination); empty, the inode's parent links name it.
+  void describe_object(SyscallCtx& ctx, Ino ino,
+                       std::string_view canonical = {}) const;
   /// True iff `ino` or any inode on its parent-link chain is untrusted.
   /// Precondition: vfs_.exists(ino).
   [[nodiscard]] bool ancestor_untrusted(Ino ino) const;

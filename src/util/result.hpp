@@ -67,4 +67,14 @@ using SysStatus = SysResult<Unit>;
 
 inline SysStatus ok_status() { return SysStatus{Unit{}}; }
 
+/// The result of a call that ended with `e` and, on success, produced
+/// `value`.
+template <typename T>
+SysResult<T> result_of(Err e, T value) {
+  if (e != Err::ok) return e;
+  return value;
+}
+
+inline SysStatus status_of(Err e) { return result_of(e, Unit{}); }
+
 }  // namespace ep

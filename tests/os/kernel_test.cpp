@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "net/network.hpp"
 #include "os/world.hpp"
+#include "reg/registry.hpp"
 
 namespace ep::os {
 namespace {
@@ -297,20 +301,6 @@ TEST_F(KernelTest, NonStickyWritableDirAllowsForeignDeletion) {
   EXPECT_TRUE(k.unlink(kS, mallory, "/tmp/alice-file").ok());
 }
 
-TEST_F(KernelTest, HookSeesForcedFailure) {
-  struct Deny : Interposer {
-    void before(Kernel&, SyscallCtx& ctx) override {
-      if (ctx.call == "open") {
-        ctx.force_fail = true;
-        ctx.forced_error = Err::conn;
-      }
-    }
-  };
-  k.add_interposer(std::make_shared<Deny>());
-  auto fd = k.open(kS, alice, "/etc/passwd", OpenFlag::rd);
-  EXPECT_EQ(fd.error(), Err::conn);
-}
-
 TEST_F(KernelTest, AfterHookCanRewriteInput) {
   struct Rewrite : Interposer {
     void after(Kernel&, SyscallCtx& ctx, Err) override {
@@ -328,7 +318,7 @@ TEST_F(KernelTest, AfterHookCanRewriteInput) {
 
 TEST_F(KernelTest, HookShrinkingContentMidReadIsEofNotCrash) {
   // A content perturbation can replace the file with a shorter payload
-  // between dispatch_before and the actual read; an advanced descriptor
+  // between the before-hooks and the actual read; an advanced descriptor
   // offset must degrade to EOF, never out-of-range.
   struct Shrink : Interposer {
     void before(Kernel& kk, SyscallCtx& ctx) override {
@@ -504,6 +494,40 @@ TEST_F(KernelTest, OpenCreatOnDotLeafIsIsdir) {
   EXPECT_EQ(k.readdir(kS, alice, "/home/alice").value().size(), 0u);
 }
 
+TEST_F(KernelTest, OpenDotLeafOpensTheDirectory) {
+  // As open(2): a final "." or ".." opens the directory it names, and the
+  // hooks see that directory's canonical path, not the path as spelled.
+  struct Canonical : Interposer {
+    std::string seen;
+    void after(Kernel&, SyscallCtx& ctx, Err) override {
+      if (ctx.call == "open") seen = ctx.canonical;
+    }
+  };
+  auto hook = std::make_shared<Canonical>();
+  k.add_interposer(hook);
+  auto ino_of = [&](const char* p) {
+    return k.vfs().resolve(p, "/", kRootUid, kRootGid).value();
+  };
+  struct Case {
+    const char* path;
+    const char* dir;
+  };
+  for (Case c : {Case{"/home/alice/..", "/home"}, Case{"..", "/home"},
+                 Case{"/home/alice/.", "/home/alice"}, Case{".", "/home/alice"},
+                 Case{"/..", "/"}}) {
+    auto fd = k.open(kS, alice, c.path, OpenFlag::rd);
+    ASSERT_TRUE(fd.ok()) << c.path;
+    EXPECT_EQ(k.fstat(alice, fd.value()).value().ino, ino_of(c.dir)) << c.path;
+    EXPECT_EQ(hook->seen, c.dir) << c.path;
+  }
+  // A directory is never opened for writing.
+  EXPECT_EQ(k.open(kS, alice, "/home/alice/..", OpenFlag::wr).error(),
+            Err::isdir);
+  EXPECT_EQ(k.open(kS, alice, "/home/alice/.", OpenFlag::rd | OpenFlag::wr)
+                .error(),
+            Err::isdir);
+}
+
 TEST_F(KernelTest, MkdirAndSymlinkOnDotLeafAreExist) {
   for (const char* p : {"/home/alice/.", "/home/alice/..", ".."}) {
     EXPECT_EQ(k.mkdir(kS, alice, p).error(), Err::exist) << p;
@@ -550,6 +574,257 @@ TEST_F(KernelTest, RenameDirectoryBelowItselfIsInval) {
             Err::inval);
   EXPECT_TRUE(k.rename(kS, alice, "/home/alice/d/e", "/home/alice/e").ok());
   EXPECT_TRUE(k.vfs().check_invariants().empty());
+}
+
+// --- the interaction envelope: every hooked call runs each hook once -------
+
+/// Every hook event in order: the phase, the call, the Err after-hooks saw.
+struct EventLog : Interposer {
+  struct Event {
+    bool before = false;
+    std::string call;
+    Err result = Err::ok;
+  };
+  std::vector<Event> events;
+  void before(Kernel&, SyscallCtx& ctx) override {
+    events.push_back({true, ctx.call, Err::ok});
+  }
+  void after(Kernel&, SyscallCtx& ctx, Err result) override {
+    events.push_back({false, ctx.call, result});
+  }
+};
+
+/// Something behind every hooked entry point: files open for reading,
+/// writing and exec, an accepted and a connected socket, a host, a
+/// registry key. Built before any hook is attached.
+struct EnvelopeWorld {
+  EnvelopeWorld() {
+    world::standard_unix(k);
+    k.add_user(1000, "alice", 1000);
+    world::mkdirs(k, "/home/alice", 1000, 1000, 0755);
+    alice = k.make_process(1000, 1000, "/home/alice",
+                           {{"HOME", "/home/alice"}});
+    k.proc(alice).args = {"prog", "x"};
+    world::put_file(k, "/home/alice/f", "one\ntwo\n", 1000, 1000, 0644);
+    world::put_file(k, "/home/alice/empty", "", 1000, 1000, 0644);
+    world::mkdirs(k, "/home/alice/d", 1000, 1000, 0755);
+    world::put_symlink(k, "/home/alice/l", "/home/alice/f", 1000, 1000);
+    k.register_image("noop", [](Kernel&, Pid) { return 0; });
+    world::put_program(k, "/bin/noop", "noop");
+    rfd = k.open(kS, alice, "/home/alice/f", OpenFlag::rd).value();
+    wfd = k.open(kS, alice, "/home/alice/f", OpenFlag::wr).value();
+    efd = k.open(kS, alice, "/home/alice/empty", OpenFlag::rd).value();
+    xfd = k.open(kS, alice, "/bin/noop", OpenFlag::rd).value();
+
+    net::PeerScript script;
+    script.inbound = {{"client", "HELLO", "hi", true}};
+    net.set_client_script(script);
+    net::ServiceDef svc;
+    svc.name = "authsvc";
+    svc.handler = [](const net::Message&) {
+      return net::Message{"", "AUTH_OK", "", true};
+    };
+    net.define_service(svc);
+    net.add_host("mail.example", "10.0.0.1");
+    in = net.accept(k, kS, alice).value();
+    out = net.connect(k, kS, alice, "authsvc").value();
+    reg::Key key;
+    key.path = "HKLM/Open";
+    key.value = "v";
+    key.acl.everyone_write = true;
+    reg.define_key(key);
+  }
+  Kernel k;
+  net::Network net;
+  reg::Registry reg;
+  Pid alice = -1;
+  Fd rfd = -1, wfd = -1, efd = -1, xfd = -1;
+  net::Sock in = -1, out = -1;
+};
+
+struct EnvelopeCase {
+  const char* call;  // the ctx.call the hooks must see
+  Err expected;      // what the program gets back
+  std::function<Err(EnvelopeWorld&)> run;
+};
+
+const std::vector<EnvelopeCase>& hooked_calls() {
+  using W = EnvelopeWorld;
+  static const std::vector<EnvelopeCase> cases = {
+      {"open", Err::noent,
+       [](W& w) {
+         return w.k.open(kS, w.alice, "/home/alice/absent", OpenFlag::rd)
+             .error();
+       }},
+      {"read", Err::ok,
+       [](W& w) { return w.k.read(kS, w.alice, w.rfd).error(); }},
+      {"read", Err::ok,
+       [](W& w) { return w.k.read_line(kS, w.alice, w.rfd).error(); }},
+      {"write", Err::ok,
+       [](W& w) { return w.k.write(kS, w.alice, w.wfd, "x").error(); }},
+      {"stat", Err::ok,
+       [](W& w) { return w.k.stat(kS, w.alice, "/home/alice/f").error(); }},
+      {"lstat", Err::ok,
+       [](W& w) { return w.k.lstat(kS, w.alice, "/home/alice/l").error(); }},
+      {"access", Err::acces,
+       [](W& w) {
+         return w.k.access(kS, w.alice, "/etc/shadow", Perm::read).error();
+       }},
+      {"mkdir", Err::exist,
+       [](W& w) { return w.k.mkdir(kS, w.alice, "/home/alice/d").error(); }},
+      {"rmdir", Err::ok,
+       [](W& w) { return w.k.rmdir(kS, w.alice, "/home/alice/d").error(); }},
+      {"unlink", Err::noent,
+       [](W& w) { return w.k.unlink(kS, w.alice, "/home/alice/no").error(); }},
+      {"rename", Err::ok,
+       [](W& w) {
+         return w.k.rename(kS, w.alice, "/home/alice/f", "/home/alice/g")
+             .error();
+       }},
+      {"symlink", Err::ok,
+       [](W& w) {
+         return w.k.symlink(kS, w.alice, "/etc/passwd", "/home/alice/s")
+             .error();
+       }},
+      {"readlink", Err::inval,
+       [](W& w) {
+         return w.k.readlink(kS, w.alice, "/home/alice/f").error();
+       }},
+      {"readdir", Err::ok,
+       [](W& w) { return w.k.readdir(kS, w.alice, "/home/alice").error(); }},
+      {"chmod", Err::ok,
+       [](W& w) {
+         return w.k.chmod(kS, w.alice, "/home/alice/f", 0600).error();
+       }},
+      {"chown", Err::perm,
+       [](W& w) {
+         return w.k.chown(kS, w.alice, "/home/alice/f", 0, 0).error();
+       }},
+      {"chdir", Err::ok,
+       [](W& w) { return w.k.chdir(kS, w.alice, "/home/alice/d").error(); }},
+      {"getenv", Err::ok,
+       [](W& w) { return w.k.getenv(kS, w.alice, "HOME").error(); }},
+      {"exec", Err::ok,
+       [](W& w) {
+         return w.k.exec(kS, w.alice, "/bin/noop", {"noop"}).error();
+       }},
+      {"exec", Err::ok,
+       [](W& w) { return w.k.fexec(kS, w.alice, w.xfd, {"noop"}).error(); }},
+      {"accept", Err::ok,
+       [](W& w) { return w.net.accept(w.k, kS, w.alice).error(); }},
+      {"recv", Err::ok,
+       [](W& w) { return w.net.recv(w.k, kS, w.alice, w.in).error(); }},
+      {"send", Err::ok,
+       [](W& w) {
+         return w.net.send(w.k, kS, w.alice, w.out, {"", "AUTH", "pw", true})
+             .error();
+       }},
+      {"connect", Err::conn,
+       [](W& w) { return w.net.connect(w.k, kS, w.alice, "nosuch").error(); }},
+      {"query", Err::ok,
+       [](W& w) {
+         return w.net.query(w.k, kS, w.alice, w.out, {"", "AUTH", "pw", true})
+             .error();
+       }},
+      {"dns", Err::noent,
+       [](W& w) {
+         return w.net.resolve_host(w.k, kS, w.alice, "nowhere.example")
+             .error();
+       }},
+      {"regread", Err::noent,
+       [](W& w) {
+         return w.reg.read_value(w.k, kS, w.alice, "HKLM/Missing").error();
+       }},
+      {"regwrite", Err::ok,
+       [](W& w) {
+         return w.reg.write_value(w.k, kS, w.alice, "HKLM/Open", "v2")
+             .error();
+       }},
+      {"arg", Err::ok,
+       [](W& w) {
+         EXPECT_EQ(w.k.arg(kS, w.alice, 1), "x");
+         return Err::ok;
+       }},
+      {"output", Err::ok,
+       [](W& w) {
+         w.k.output(kS, w.alice, "hello");
+         return Err::ok;
+       }},
+      {"app_fault", Err::ok,
+       [](W& w) {
+         w.k.app_fault(kS, w.alice, AppFault::assertion, "detail");
+         return Err::ok;
+       }},
+      {"privileged_action", Err::ok,
+       [](W& w) {
+         w.k.privileged_action(kS, w.alice, "grant", true);
+         return Err::ok;
+       }},
+      {"app_fault", Err::ok,
+       [](W& w) {
+         w.k.report_redzone_corruption(kS, w.alice, "/home/alice/f", "!!");
+         return Err::ok;
+       }},
+  };
+  return cases;
+}
+
+TEST(InteractionEnvelope, EveryHookedCallRunsEachHookOnce) {
+  for (std::size_t i = 0; i < hooked_calls().size(); ++i) {
+    const EnvelopeCase& c = hooked_calls()[i];
+    SCOPED_TRACE(std::to_string(i) + ": " + c.call);
+    EnvelopeWorld w;
+    auto log = std::make_shared<EventLog>();
+    w.k.add_interposer(log);
+    Err got = c.run(w);
+    EXPECT_EQ(got, c.expected);
+    ASSERT_EQ(log->events.size(), 2u);
+    EXPECT_TRUE(log->events[0].before);
+    EXPECT_EQ(log->events[0].call, c.call);
+    EXPECT_FALSE(log->events[1].before);
+    EXPECT_EQ(log->events[1].call, c.call);
+    EXPECT_EQ(log->events[1].result, got);
+  }
+}
+
+TEST(InteractionEnvelope, PreHookRejectionsProduceNoHookEvent) {
+  using W = EnvelopeWorld;
+  const Fd bad = 99;
+  const net::Message m{"", "AUTH", "pw", true};
+  const std::vector<EnvelopeCase> cases = {
+      {"read", Err::badf,
+       [&](W& w) { return w.k.read(kS, w.alice, bad).error(); }},
+      {"read", Err::badf,
+       [](W& w) { return w.k.read(kS, w.alice, w.wfd).error(); }},
+      {"read", Err::badf,
+       [&](W& w) { return w.k.read_line(kS, w.alice, bad).error(); }},
+      {"read", Err::io,  // EOF, checked before the hooks
+       [](W& w) { return w.k.read_line(kS, w.alice, w.efd).error(); }},
+      {"write", Err::badf,
+       [&](W& w) { return w.k.write(kS, w.alice, bad, "x").error(); }},
+      {"write", Err::badf,
+       [](W& w) { return w.k.write(kS, w.alice, w.rfd, "x").error(); }},
+      {"exec", Err::badf,
+       [&](W& w) { return w.k.fexec(kS, w.alice, bad, {"noop"}).error(); }},
+      {"recv", Err::badf,
+       [&](W& w) { return w.net.recv(w.k, kS, w.alice, bad).error(); }},
+      {"recv", Err::badf,  // an outbound socket has no inbound script
+       [](W& w) { return w.net.recv(w.k, kS, w.alice, w.out).error(); }},
+      {"send", Err::badf,
+       [&](W& w) { return w.net.send(w.k, kS, w.alice, bad, m).error(); }},
+      {"query", Err::badf,
+       [&](W& w) { return w.net.query(w.k, kS, w.alice, bad, m).error(); }},
+      {"query", Err::badf,  // the inbound peer is no service
+       [&](W& w) { return w.net.query(w.k, kS, w.alice, w.in, m).error(); }},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(std::to_string(i) + ": " + cases[i].call);
+    EnvelopeWorld w;
+    auto log = std::make_shared<EventLog>();
+    w.k.add_interposer(log);
+    EXPECT_EQ(cases[i].run(w), cases[i].expected);
+    EXPECT_TRUE(log->events.empty());
+  }
 }
 
 TEST(VfsDotNames, CreateAndRenameRefuseDotNames) {
